@@ -47,13 +47,14 @@ from .problem import (
     ProblemData,
     build_problem,
     lambda_H,
-    largest_eigenvalue,
     solve_spd,
     spd_solver,
 )
 from .prox import (
     ProxParams,
     ProxSet,
+    prox_array,
+    prox_distance,
     prox_objective,
     prox_oracle,
     prox_scalar,
@@ -109,11 +110,12 @@ __all__ = [
     "ProblemData",
     "build_problem",
     "lambda_H",
-    "largest_eigenvalue",
     "solve_spd",
     "spd_solver",
     "ProxParams",
     "ProxSet",
+    "prox_array",
+    "prox_distance",
     "prox_objective",
     "prox_oracle",
     "prox_scalar",

@@ -3,9 +3,11 @@
 From a labeled dataset we assemble A (row i is y_i * x_i), the label vector
 y, and B = [A y].  When B has full column rank we also carry its generalized
 inverse Bdag = (B^T B)^{-1} B^T, the matrix H obtained from Bdag by zeroing
-its last row, and lambda_h, the largest eigenvalue of H^T H.  lambda_h bounds
-the prox steps for which the stationarity certificate is a necessary
-condition at global minimizers, so it is surfaced in reports.
+its last row, and lambda_h, the largest eigenvalue of the m x m matrix H^T H.
+lambda_h bounds the prox steps for which the stationarity certificate is a
+necessary condition at global minimizers, so it is surfaced in reports.  It
+is computed as the largest eigenvalue of the (n+1) x (n+1) matrix H H^T,
+which has the same nonzero spectrum, so the build takes O(m n) memory.
 
 Rank-deficient B gets explicit None markers instead of an SVD pseudo-inverse:
 the certification theory assumes full column rank, and silently working
@@ -25,7 +27,6 @@ __all__ = [
     "ProblemData",
     "build_problem",
     "lambda_H",
-    "largest_eigenvalue",
     "spd_solver",
     "solve_spd",
 ]
@@ -128,7 +129,7 @@ def build_problem(dataset: Dataset) -> ProblemData:
                 H[-1, :] = 0.0
                 Bdag.setflags(write=False)
                 H.setflags(write=False)
-                lam = largest_eigenvalue(H.T @ H)
+                lam = float(np.linalg.eigvalsh(H @ H.T)[-1])
     return ProblemData(
         dataset=dataset,
         A=A,
@@ -146,47 +147,6 @@ def lambda_H(problem: ProblemData) -> float:
     if problem.lambda_h is None:
         raise ValueError("lambda_H undefined: B is not full column rank")
     return problem.lambda_h
-
-
-def largest_eigenvalue(
-    M, tol: float = 1e-10, max_iter: int = 10000, seed: int = 0
-) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
-
-    Starts from the normalized all-ones vector and stops when the Rayleigh
-    quotient is stable to relative tolerance ``tol``.  The all-ones start
-    can sit inside a minor eigenspace (or the kernel), where the iteration
-    stagnates at a non-maximal eigenvalue; a second run from a fixed-seed
-    random vector guards against that, and the larger estimate wins.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    k = M.shape[0]
-
-    def run(v: np.ndarray) -> float:
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            return 0.0
-        v = v / nrm
-        lam = float(v @ (M @ v))
-        for _ in range(max_iter):
-            Mv = M @ v
-            nrm = np.linalg.norm(Mv)
-            if nrm == 0.0:
-                # v is in the kernel; stagnation, nothing more to learn here
-                return 0.0
-            v = Mv / nrm
-            new = float(v @ (M @ v))
-            if abs(new - lam) <= tol * max(1.0, abs(new)):
-                return new
-            lam = new
-        return lam
-
-    est = run(np.ones(k))
-    rng = np.random.default_rng(seed)
-    probe = run(rng.standard_normal(k))
-    return max(est, probe)
 
 
 def spd_solver(M):

@@ -33,6 +33,8 @@ __all__ = [
     "ProxSet",
     "prox_scalar",
     "prox_vector",
+    "prox_array",
+    "prox_distance",
     "prox_objective",
     "prox_oracle",
 ]
@@ -122,6 +124,39 @@ def prox_vector(s, params: ProxParams) -> list[ProxSet]:
     if s.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {s.shape}")
     return [prox_scalar(si, params) for si in s]
+
+
+def prox_array(s, params: ProxParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elementwise closed form of prox_scalar on an array.
+
+    Returns (primary, alternative, tie): primary[i] is
+    prox_scalar(s[i]).values[0], alternative[i] is .values[-1] (equal to
+    primary[i] off the tie), and tie[i] is .tie, all bit for bit.  Below
+    the tie threshold both regimes shift or zero s exactly as the scalar
+    branches do; at the threshold the primary value keeps s and the
+    alternative takes the branch below it.
+    """
+    s = np.asarray(s, dtype=float)
+    if not np.isfinite(s).all():
+        raise ValueError("prox needs finite arguments")
+    gc = params.gammaC
+    if gc < 2.0:
+        thr = 1.0 + gc / 2.0
+        below = np.where(s >= gc, s - gc, np.where(s > 0.0, 0.0, s))
+    else:
+        thr = math.sqrt(2.0 * gc)
+        below = np.where(s > 0.0, 0.0, s)
+    primary = np.where(s >= thr, s, below)
+    alternative = np.where(s > thr, s, below)
+    return primary, alternative, s == thr
+
+
+def prox_distance(u, s, params: ProxParams) -> np.ndarray:
+    """Elementwise ProxSet.distance: |u_i - prox(s_i)|, the nearer member
+    at a tie."""
+    u = np.asarray(u, dtype=float)
+    primary, alternative, _ = prox_array(s, params)
+    return np.minimum(np.abs(u - primary), np.abs(u - alternative))
 
 
 def prox_objective(v: float, s: float, params: ProxParams) -> float:

@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 
 import rampsvm
-from rampsvm import counterexample_dataset, counterexample_point, write_csv
+from rampsvm import (
+    COUNTEREXAMPLE_C,
+    ProxParams,
+    counterexample_dataset,
+    counterexample_point,
+    prox_scalar,
+    write_csv,
+)
 from rampsvm.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -226,8 +233,16 @@ def test_counterexample_subcommand(capsys):
     assert report["result"]["verdict"] == "kkt-only"
     gammas = [c["gamma"] for c in report["result"]["stationarity"]]
     assert gammas == [0.4, 4.0, 8.0, 16.0]
+    point = counterexample_point()
     for cert in report["result"]["stationarity"]:
         assert cert["r_prox"] >= 0.1 - 1e-12
+        # The reported distances are exactly the set-valued reference's.
+        params = ProxParams(cert["gamma"], COUNTEREXAMPLE_C)
+        s = point.u - cert["gamma"] * point.lam
+        assert cert["prox_distances"] == [
+            prox_scalar(s_i, params).distance(u_i) for s_i, u_i in zip(s, point.u)
+        ]
+        assert cert["r_prox"] == max(cert["prox_distances"])
     assert report["result"]["objective"] == pytest.approx(0.5)
     _, again = run_cli(capsys, "counterexample")
     assert out == again

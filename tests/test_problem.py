@@ -1,5 +1,7 @@
 """Problem assembly: A, B, the generalized inverse, lambda_H, solvers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
@@ -8,8 +10,8 @@ from rampsvm import (
     Dataset,
     build_problem,
     counterexample_dataset,
+    gen_synthetic,
     lambda_H,
-    largest_eigenvalue,
     solve_spd,
     spd_solver,
 )
@@ -49,10 +51,24 @@ def test_generalized_inverse_properties():
 
 def test_lambda_h_against_dense_eigensolver():
     rng = np.random.default_rng(2)
-    for m in (3, 4, 6, 9):
+    for m in (3, 4, 6, 9, 2000):
         prob = _random_full_rank(rng, m, 2)
         dense = float(np.linalg.eigvalsh(prob.H.T @ prob.H)[-1])
-        assert lambda_H(prob) == pytest.approx(dense, rel=1e-8)
+        assert lambda_H(prob) == pytest.approx(dense, rel=1e-12)
+
+
+def test_build_problem_memory_scales_with_m_n():
+    # m = 8000, n = 2: an m x m intermediate alone would take 488 MiB,
+    # while A, B, Bdag and H together take under 1 MiB.
+    ds = gen_synthetic(4000, 4.0, 0.1, 0)
+    tracemalloc.start()
+    try:
+        prob = build_problem(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prob.m == 8000 and prob.full_column_rank
+    assert peak < 16 * 1024 * 1024
 
 
 def test_lambda_h_counterexample_value():
@@ -76,31 +92,6 @@ def test_rank_deficient_paths():
     y = np.array([1.0, 1.0, 1.0])
     dup = build_problem(Dataset(X=X, y=y))
     assert not dup.full_column_rank
-
-
-def test_largest_eigenvalue_known_spectra():
-    assert largest_eigenvalue(np.diag([0.5, 3.0, 2.0])) == pytest.approx(3.0)
-    # Rotate a known spectrum so the top eigenvector is not an axis.
-    theta = 0.7
-    Q = np.array(
-        [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
-    )
-    M = Q @ np.diag([5.0, 1.0]) @ Q.T
-    assert largest_eigenvalue(M) == pytest.approx(5.0, rel=1e-9)
-
-
-def test_largest_eigenvalue_survives_orthogonal_start():
-    # The all-ones start vector is an eigenvector of the SMALLER eigenvalue
-    # here; the seeded random restart must still find the top one.
-    M = np.array([[2.0, -1.0], [-1.0, 2.0]])
-    assert largest_eigenvalue(M) == pytest.approx(3.0, rel=1e-8)
-
-
-def test_largest_eigenvalue_deterministic():
-    rng = np.random.default_rng(3)
-    G = rng.standard_normal((6, 6))
-    M = G @ G.T
-    assert largest_eigenvalue(M) == largest_eigenvalue(M)
 
 
 def test_spd_solver_accuracy():

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from rampsvm import (
     ProxParams,
     ProxSet,
+    prox_array,
+    prox_distance,
     prox_objective,
     prox_oracle,
     prox_scalar,
@@ -130,6 +132,96 @@ def test_prox_vector_componentwise():
     assert len(outs) == s.size
     for s_i, out in zip(s, outs):
         assert out == prox_scalar(float(s_i), params)
+
+
+# (gamma, C) pairs covering the shift regime, gamma*C exactly 2.0 (also as
+# 0.5 * 4.0) and the threshold regime.
+ARRAY_PARAMS = [
+    (0.3, 1.0),
+    (0.7, 2.0),
+    (1.9, 1.0),
+    (2.0, 1.0),
+    (0.5, 4.0),
+    (4.0, 1.0),
+    (8.0, 1.25),
+]
+SPECIAL_S = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310]
+
+
+def _step_ulps(x, k):
+    """x moved k representable floats up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, math.copysign(math.inf, k)))
+    return x
+
+
+def _anchors(params):
+    """Kinks 0 and gamma*C, and both regimes' tie thresholds."""
+    gc = params.gammaC
+    return [0.0, gc, 1.0 + gc / 2.0, math.sqrt(2.0 * gc)]
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _assert_matches_scalar(s, u, params):
+    primary, alternative, tie = prox_array(np.array(s), params)
+    dist = prox_distance(np.array(u), np.array(s), params)
+    assert primary.shape == alternative.shape == tie.shape == dist.shape
+    for i, (s_i, u_i) in enumerate(zip(s, u)):
+        ref = prox_scalar(s_i, params)
+        assert _bits(primary[i]) == _bits(ref.values[0]), (s_i, ref)
+        assert _bits(alternative[i]) == _bits(ref.values[-1]), (s_i, ref)
+        assert bool(tie[i]) is ref.tie, (s_i, ref)
+        assert _bits(dist[i]) == _bits(ref.distance(u_i)), (s_i, u_i, ref)
+
+
+@pytest.mark.parametrize("gamma, C", ARRAY_PARAMS)
+def test_prox_array_matches_scalar_at_boundaries(gamma, C):
+    # Every anchor, exactly and within 3 ulps, plus signed zeros and
+    # subnormals; u at each member of the set and off it.
+    params = ProxParams(gamma, C)
+    s = SPECIAL_S + [
+        _step_ulps(a, k) for a in _anchors(params) for k in range(-3, 4)
+    ]
+    primary, alternative, _ = prox_array(np.array(s), params)
+    for u in (primary, alternative, np.array(s) + 0.25, -np.array(s)):
+        _assert_matches_scalar(s, list(u), params)
+
+
+@st.composite
+def _array_prox_cases(draw):
+    params = ProxParams(*draw(st.sampled_from(ARRAY_PARAMS)))
+    near_anchor = st.builds(
+        _step_ulps, st.sampled_from(_anchors(params)), st.integers(-4, 4)
+    )
+    element = st.one_of(
+        st.floats(min_value=-5.0, max_value=8.0),
+        near_anchor,
+        st.sampled_from(SPECIAL_S),
+    )
+    s = draw(st.lists(element, min_size=1, max_size=30))
+    u = draw(st.lists(element, min_size=len(s), max_size=len(s)))
+    return s, u, params
+
+
+@given(_array_prox_cases())
+@settings(max_examples=300)
+def test_prox_array_matches_scalar(case):
+    s, u, params = case
+    _assert_matches_scalar(s, u, params)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_prox_array_rejects_non_finite(bad):
+    params = ProxParams(gamma=1.0, C=1.0)
+    with pytest.raises(ValueError):
+        prox_array(np.array([0.5, bad]), params)
+    with pytest.raises(ValueError):
+        prox_distance(np.zeros(2), np.array([0.5, bad]), params)
+    with pytest.raises(ValueError):
+        prox_scalar(bad, params)
 
 
 def test_prox_set_distance():
