@@ -98,7 +98,9 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
     """Run the alternating scheme until the stationarity residuals pass tol.
 
     CONVERGED results always carry a P_STATIONARY certificate at the
-    configured tolerance and prox step 1/sigma.  A failed SPD factorization
+    configured tolerance and prox step 1/sigma.  MAX_ITER results carry the
+    iterate with the smallest max_residual (the earliest on ties), with its
+    iteration in diagnostics["best_iteration"].  A failed SPD factorization
     or a non-finite iterate yields DIVERGED with the trigger recorded in
     diagnostics.
     """
@@ -142,7 +144,7 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
     except np.linalg.LinAlgError as exc:
         return diverged(str(exc), 0)
 
-    cert = None
+    best = None  # (point, certificate, iteration) with the least max_residual
     for it in range(1, config.max_iter + 1):
         s = 1.0 - A @ w - b * y - lam / sigma
         if not np.all(np.isfinite(s)):
@@ -158,12 +160,15 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
         cert = check_pstationary(point, problem, C, gamma, config.tol)
         if cert.verdict is Verdict.P_STATIONARY:
             return result(SolveStatus.CONVERGED, point, cert, it, {})
+        if best is None or cert.max_residual < best[1].max_residual:
+            best = (point, cert, it)
+    point, cert, best_it = best
     return result(
         SolveStatus.MAX_ITER,
         point,
         cert,
         config.max_iter,
-        {"max_residual": cert.max_residual},
+        {"max_residual": cert.max_residual, "best_iteration": best_it},
     )
 
 

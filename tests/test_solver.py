@@ -13,7 +13,9 @@ from rampsvm import (
     SolverConfig,
     Verdict,
     build_problem,
+    check_pstationary,
     counterexample_dataset,
+    gen_synthetic,
     global_oracle,
     objective,
     predict,
@@ -72,6 +74,27 @@ def test_train_max_iter_status():
     res = train_admm(prob, SolverConfig(C=1.0, max_iter=1))
     assert res.status is SolveStatus.MAX_ITER
     assert res.iterations == 1
+
+
+def test_train_max_iter_returns_best_iterate():
+    # This run cycles: iteration 2 has max residual 1.1365, iteration 60
+    # has 1.7457.  MAX_ITER must carry the best (point, certificate) pair.
+    prob = build_problem(gen_synthetic(8, 4.0, 0.1, 0))
+    res = train_admm(prob, SolverConfig(C=1.0, max_iter=60))
+    assert res.status is SolveStatus.MAX_ITER and res.iterations == 60
+    assert res.diagnostics["best_iteration"] == 2
+    assert res.certificate.max_residual == pytest.approx(1.1365, abs=1e-4)
+    assert res.diagnostics["max_residual"] == res.certificate.max_residual
+    # The certificate and objective belong to the returned point.
+    again = check_pstationary(res.point, prob, 1.0, res.certificate.gamma, 1e-6)
+    assert again == res.certificate
+    assert res.objective == objective(res.point.w, res.point.b, prob.dataset, 1.0)
+    # A budget of k iterations returns the best of the first k.
+    best = [
+        train_admm(prob, SolverConfig(C=1.0, max_iter=k)).certificate.max_residual
+        for k in range(1, 61)
+    ]
+    assert best == sorted(best, reverse=True) and best[-1] == best[1]
 
 
 def test_train_diverged_status():
