@@ -17,6 +17,10 @@ shape of the solution depends only on the product gamma*C:
 Both regimes coincide at gamma*C = 2.  Threshold comparisons are exact
 floating-point comparisons; callers wanting fuzzy tie detection must snap
 s themselves before calling.
+
+prox_scalar and ProxSet are the set-valued reference.  prox_array evaluates
+the same closed form elementwise with the same floats, and prox_distance
+builds ProxSet.distance on it; the trainer and the certificate use these.
 """
 
 from __future__ import annotations
