@@ -13,12 +13,11 @@ from .certify import (
     KKTCheck,
     PrimalDualPoint,
     Verdict,
+    certify_point,
     check_kkt,
     check_pstationary,
     default_gamma_grid,
-    estimate_multiplier,
     grade_point,
-    reconstruct_point,
     recover_multiplier,
 )
 from .datasets import (
@@ -36,11 +35,9 @@ from .datasets import (
     write_csv,
 )
 from .losses import (
-    SubdiffInterval,
     objective,
     ramp_loss,
     ramp_loss_sum,
-    ramp_subdiff,
 )
 from .problem import (
     Dataset,
@@ -82,12 +79,11 @@ __all__ = [
     "KKTCheck",
     "PrimalDualPoint",
     "Verdict",
+    "certify_point",
     "check_kkt",
     "check_pstationary",
     "default_gamma_grid",
-    "estimate_multiplier",
     "grade_point",
-    "reconstruct_point",
     "recover_multiplier",
     "COUNTEREXAMPLE_C",
     "DataFormat",
@@ -101,11 +97,9 @@ __all__ = [
     "symmetric_pair_dataset",
     "symmetric_pair_point",
     "write_csv",
-    "SubdiffInterval",
     "objective",
     "ramp_loss",
     "ramp_loss_sum",
-    "ramp_subdiff",
     "Dataset",
     "ProblemData",
     "build_problem",

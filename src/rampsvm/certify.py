@@ -13,8 +13,11 @@ inclusion: -lambda_i/C must lie in the ramp subdifferential at u_i.  Every
 P-stationary point is a KKT point; the converse fails, and the shipped
 three-point counterexample fixture demonstrates it.
 
-Points carrying only (w, b) are graded by reconstructing u from the
-feasibility constraint and recovering lambda by least squares.
+Points carrying only (w, b) are graded by taking u from the feasibility
+constraint and lambda from region-structured recovery (recover_multiplier):
+the margins fix lambda_i off the margin hyperplanes, and least squares
+solves only for the on-margin components.  certify_point derives the one
+verdict every caller reports.
 """
 
 from __future__ import annotations
@@ -37,8 +40,7 @@ __all__ = [
     "KKTCheck",
     "check_pstationary",
     "check_kkt",
-    "estimate_multiplier",
-    "reconstruct_point",
+    "certify_point",
     "recover_multiplier",
     "default_gamma_grid",
     "grade_point",
@@ -149,7 +151,7 @@ def check_pstationary(
 
     The verdict is P_STATIONARY when the largest residual is at most tol,
     NEITHER otherwise; deciding KKT_ONLY additionally needs check_kkt and is
-    the job of grade_point.  The prox residual measures the set distance
+    the job of certify_point.  The prox residual measures the set distance
     from u_i to prox(u_i - gamma*lambda_i), so two-valued ties count as
     satisfied when either member matches.
     """
@@ -202,35 +204,6 @@ def check_kkt(
         r_mult = max(r_mult, lo - float(l_i), float(l_i) - hi, 0.0)
     passed = max(r_grad, r_y, r_feas, r_mult) <= tol
     return KKTCheck(passed, r_grad, r_y, r_feas, r_mult)
-
-
-def estimate_multiplier(
-    w, problem: ProblemData
-) -> tuple[np.ndarray, float]:
-    """Recover lambda from w via least squares on B^T lambda = (-w; 0).
-
-    Stacks the gradient condition A^T lambda = -w with the orthogonality
-    condition <y, lambda> = 0 and returns the minimum-norm least-squares
-    solution together with its infinity-norm residual.  The residual is
-    reported, never raised: a large value simply means no multiplier makes
-    this w stationary.
-    """
-    w = np.asarray(w, dtype=float)
-    if w.shape != (problem.n,):
-        raise ValueError(f"w has shape {w.shape}, expected ({problem.n},)")
-    rhs = np.concatenate((-w, [0.0]))
-    lam, *_ = np.linalg.lstsq(problem.B.T, rhs, rcond=None)
-    resid = float(np.max(np.abs(problem.B.T @ lam - rhs)))
-    return lam, resid
-
-
-def reconstruct_point(w, b: float, problem: ProblemData) -> PrimalDualPoint:
-    """Build a full candidate from (w, b): u from feasibility, lambda by
-    least squares."""
-    w = np.asarray(w, dtype=float)
-    u = 1.0 - problem.A @ w - float(b) * problem.y
-    lam, _ = estimate_multiplier(w, problem)
-    return PrimalDualPoint(w=w, b=float(b), u=u, lam=lam)
 
 
 def recover_multiplier(
@@ -292,6 +265,33 @@ def default_gamma_grid(problem: ProblemData, C: float) -> list[float]:
     return grid
 
 
+def certify_point(
+    point: PrimalDualPoint,
+    problem: ProblemData,
+    C: float,
+    gammas,
+    tol: float = DEFAULT_TOL,
+) -> tuple[list[Certificate], KKTCheck, Verdict]:
+    """Certify a candidate at every prox step in gammas and check KKT.
+
+    Returns the per-gamma certificates, the KKT check and the verdict:
+    P_STATIONARY if any gamma passes, else KKT_ONLY if the KKT system
+    holds, else NEITHER.
+    """
+    gammas = list(gammas)
+    if not gammas:
+        raise ValueError("gamma list must be nonempty")
+    certs = [check_pstationary(point, problem, C, g, tol) for g in gammas]
+    kkt = check_kkt(point, problem, C, tol)
+    if any(c.verdict is Verdict.P_STATIONARY for c in certs):
+        verdict = Verdict.P_STATIONARY
+    elif kkt.passed:
+        verdict = Verdict.KKT_ONLY
+    else:
+        verdict = Verdict.NEITHER
+    return certs, kkt, verdict
+
+
 def grade_point(
     w,
     b: float,
@@ -300,27 +300,21 @@ def grade_point(
     gamma_list=None,
     tol: float = DEFAULT_TOL,
 ) -> Certificate:
-    """Grade a primal point: P_STATIONARY if any probed gamma passes, else
-    KKT_ONLY if the KKT system holds, else NEITHER.
+    """Grade a primal point with the verdict of certify_point.
 
-    The returned certificate carries the first passing gamma, or the gamma
-    with the smallest worst residual when nothing passes.  A non-passing
-    verdict only says "not P-stationary at the probed steps"; it is not a
-    proof that no step works.
+    u comes from the feasibility constraint and lambda from
+    recover_multiplier.  The returned certificate carries the first passing
+    gamma, or the gamma with the smallest worst residual when nothing
+    passes.  A non-passing verdict only says "not P-stationary at the
+    probed steps"; it is not a proof that no step works.
     """
-    if C <= 0:
-        raise ValueError("C must be positive")
-    gammas = list(gamma_list) if gamma_list is not None else default_gamma_grid(problem, C)
-    if not gammas:
-        raise ValueError("gamma_list must be nonempty")
-    point = reconstruct_point(w, b, problem)
-    best: Certificate | None = None
-    for gamma in gammas:
-        cert = check_pstationary(point, problem, C, gamma, tol)
-        if cert.verdict is Verdict.P_STATIONARY:
-            return cert
-        if best is None or cert.max_residual < best.max_residual:
-            best = cert
-    if check_kkt(point, problem, C, tol).passed:
-        return replace(best, verdict=Verdict.KKT_ONLY)
-    return best
+    lam, _ = recover_multiplier(w, b, problem, C)
+    w = np.asarray(w, dtype=float)
+    u = 1.0 - problem.A @ w - float(b) * problem.y
+    point = PrimalDualPoint(w=w, b=b, u=u, lam=lam)
+    if gamma_list is None:
+        gamma_list = default_gamma_grid(problem, C)
+    certs, _, verdict = certify_point(point, problem, C, gamma_list, tol)
+    if verdict is Verdict.P_STATIONARY:
+        return next(c for c in certs if c.verdict is verdict)
+    return replace(min(certs, key=lambda c: c.max_residual), verdict=verdict)

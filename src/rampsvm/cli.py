@@ -29,11 +29,13 @@ from .certify import (
     KKTCheck,
     PrimalDualPoint,
     Verdict,
-    check_kkt,
-    check_pstationary,
+    certify_point,
     default_gamma_grid,
-    estimate_multiplier,
+    recover_multiplier,
 )
+# check_pstationary is not called here; it stays a module attribute because
+# bench/tracing.py times check_pstationary calls by wrapping it in this module.
+from .certify import check_pstationary  # noqa: F401
 from .datasets import (
     COUNTEREXAMPLE_C,
     DataFormat,
@@ -157,7 +159,6 @@ def cmd_train(args) -> int:
         sigma=args.sigma,
         tol=args.tol,
         max_iter=args.max_iter,
-        seed=args.seed,
     )
     res = train_admm(problem, config)
     report = {
@@ -168,7 +169,6 @@ def cmd_train(args) -> int:
             sigma=config.sigma,
             tol=config.tol,
             max_iter=config.max_iter,
-            seed=config.seed,
         ),
         "problem": _problem_dict(problem),
         "params": {
@@ -179,7 +179,7 @@ def cmd_train(args) -> int:
             "max_iter": config.max_iter,
         },
         "result": _result_dict(res),
-        "seed": config.seed,
+        "seed": None,
         "versions": _versions(),
     }
     _emit(report, args.out)
@@ -207,20 +207,9 @@ def cmd_certify(args) -> int:
                 f"--lambda has {lam.size} entries, dataset has {problem.m} samples"
             )
     else:
-        lam, mult_residual = estimate_multiplier(w, problem)
+        lam, mult_residual = recover_multiplier(w, args.b, problem, C)
     point = PrimalDualPoint(w=w, b=args.b, u=u, lam=lam)
-    certs = [
-        check_pstationary(point, problem, C, gamma, DEFAULT_TOL)
-        for gamma in gammas
-    ]
-    kkt = check_kkt(point, problem, C, DEFAULT_TOL)
-    passing = [c for c in certs if c.verdict is Verdict.P_STATIONARY]
-    if passing:
-        verdict = Verdict.P_STATIONARY
-    elif kkt.passed:
-        verdict = Verdict.KKT_ONLY
-    else:
-        verdict = Verdict.NEITHER
+    certs, kkt, verdict = certify_point(point, problem, C, gammas, DEFAULT_TOL)
     report = {
         "command": "certify",
         "inputs_digest": _digest(
@@ -308,7 +297,7 @@ def cmd_support_vectors(args) -> int:
             "margin_check": margin_check,
             "margin_check_skipped": skipped,
         },
-        "seed": config.seed,
+        "seed": None,
         "versions": _versions(),
     }
     _emit(report)
@@ -323,22 +312,15 @@ def cmd_counterexample(args) -> int:
     problem = build_problem(dataset)
     point = counterexample_point()
     C = COUNTEREXAMPLE_C
-    kkt = check_kkt(point, problem, C, DEFAULT_TOL)
+    certs, kkt, verdict = certify_point(point, problem, C, gammas, DEFAULT_TOL)
     stationarity = []
-    for gamma in gammas:
-        cert = check_pstationary(point, problem, C, gamma, DEFAULT_TOL)
-        s = point.u - gamma * point.lam
+    for cert in certs:
+        s = point.u - cert.gamma * point.lam
         entry = _cert_dict(cert)
         entry["prox_distances"] = _floats(
-            prox_distance(point.u, s, ProxParams(gamma, C))
+            prox_distance(point.u, s, ProxParams(cert.gamma, C))
         )
         stationarity.append(entry)
-    if any(c["verdict"] == Verdict.P_STATIONARY.value for c in stationarity):
-        verdict = Verdict.P_STATIONARY
-    elif kkt.passed:
-        verdict = Verdict.KKT_ONLY
-    else:
-        verdict = Verdict.NEITHER
     report = {
         "command": "counterexample",
         "inputs_digest": _digest(gammas=list(gammas)),
@@ -414,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iter", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="also write the report here")
     p.add_argument("--expect", choices=["p-stationary"], default=None)
     p.set_defaults(func=cmd_train)

@@ -1,4 +1,4 @@
-"""Ramp loss, its subdifferential, and the regularized training objective.
+"""Ramp loss and the regularized training objective.
 
 The ramp loss clips the hinge loss at 1: it charges nothing for margins on
 the correct side, a linear cost inside the margin band, and a flat cost of 1
@@ -8,7 +8,6 @@ beyond it.  The flat cap is what makes the classifier robust to outliers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -17,23 +16,10 @@ if TYPE_CHECKING:
     from .problem import Dataset
 
 __all__ = [
-    "SubdiffInterval",
     "ramp_loss",
     "ramp_loss_sum",
-    "ramp_subdiff",
     "objective",
 ]
-
-
-@dataclass(frozen=True)
-class SubdiffInterval:
-    """Closed interval [lo, hi] of subgradients; always a subset of [0, 1]."""
-
-    lo: float
-    hi: float
-
-    def contains(self, g: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= g <= self.hi + tol
 
 
 def ramp_loss(t: float) -> float:
@@ -64,22 +50,6 @@ def ramp_loss_sum(u) -> float:
         raise ValueError("ramp loss sum needs finite entries")
     # clip(u, 0, 1) matches the piecewise definition exactly, boundaries included
     return float(np.clip(u, 0.0, 1.0).sum())
-
-
-def ramp_subdiff(t: float) -> SubdiffInterval:
-    """Subdifferential of the ramp loss at ``t`` as a closed interval.
-
-    [0, 1] at the kinks t = 0 and t = 1, the singleton {1} on (0, 1), and
-    the singleton {0} outside [0, 1].
-    """
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"subdifferential needs a finite argument, got {t}")
-    if t == 0.0 or t == 1.0:
-        return SubdiffInterval(0.0, 1.0)
-    if 0.0 < t < 1.0:
-        return SubdiffInterval(1.0, 1.0)
-    return SubdiffInterval(0.0, 0.0)
 
 
 def objective(w, b: float, dataset: "Dataset", C: float) -> float:

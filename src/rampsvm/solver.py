@@ -50,15 +50,13 @@ class SolverConfig:
 
     sigma defaults to C/2 so that gamma*C = 2, the regime in which support
     vectors of certified solutions sit exactly on the margin hyperplanes.
-    Override sigma to probe other regimes.  seed is recorded in reports;
-    the trainer is deterministic and nothing else reads it.
+    Override sigma to probe other regimes.
     """
 
     C: float
     sigma: float | None = None
     tol: float = 1e-6
     max_iter: int = 10000
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.C) and self.C > 0):

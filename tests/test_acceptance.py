@@ -5,10 +5,13 @@ Later criteria quantify over "the suite": every point certified here is
 recorded in _CERTIFIED, and every solver run in _solver_batch() feeds the
 local-minimum probe, the margin-geometry check, and the implication audit.
 test_criterion_09 therefore runs last (definition order), after the
-registry is fully populated.
+registry is fully populated.  The batch's converged runs also feed the
+cross-path check that grade_point and `rampsvm certify` agree with the
+trainer's verdict.
 """
 
 import functools
+import json
 import math
 import time
 
@@ -31,6 +34,7 @@ from rampsvm import (
     extract_support,
     gen_synthetic,
     global_oracle,
+    grade_point,
     objective,
     prox_objective,
     prox_oracle,
@@ -42,7 +46,9 @@ from rampsvm import (
     symmetric_pair_point,
     train_admm,
     verify_support_margins,
+    write_csv,
 )
+from rampsvm.cli import main
 from rampsvm.prox import _prox_shift_regime, _prox_threshold_regime
 
 # Every P-stationarity certification issued by this module:
@@ -258,6 +264,42 @@ def test_criterion_07_margin_geometry():
         assert holds, f"seed {seed}: margin deviation {deviation:.3e}"
     assert converged >= 8, f"only {converged}/20 runs converged"
     print(f"criterion 7 PASS: {converged}/20 converged runs, all support vectors on margins")
+
+
+def test_certified_runs_grade_pstationary_on_every_path(capsys, tmp_path):
+    # A verdict must not depend on the path that recovers the multiplier:
+    # every (w, b) the trainer certifies must also grade p-stationary from
+    # (w, b) alone, through grade_point and through `rampsvm certify` on the
+    # run's CSV.
+    C = 1.0
+    checked = 0
+    for seed, ds, prob, res in _solver_batch():
+        if res.status is not SolveStatus.CONVERGED:
+            continue
+        w, b = res.point.w, res.point.b
+        cert = grade_point(w, b, prob, C)
+        assert cert.verdict is Verdict.P_STATIONARY, (
+            f"seed {seed}: grade_point says {cert.verdict.value}, "
+            f"worst residual {cert.max_residual:.3e}"
+        )
+        path = tmp_path / f"batch-{seed}.csv"
+        write_csv(ds, path)
+        capsys.readouterr()
+        code = main(
+            [
+                "certify",
+                "--data", str(path),
+                "--w=" + ",".join(repr(float(v)) for v in w),
+                "--b=" + repr(float(b)),
+                "--C", repr(C),
+                "--expect", "p-stationary",
+            ]
+        )
+        verdict = json.loads(capsys.readouterr().out)["result"]["verdict"]
+        assert code == 0, f"seed {seed}: rampsvm certify says {verdict}"
+        checked += 1
+    assert checked >= 8, f"only {checked}/20 runs converged"
+    print(f"cross-path PASS: {checked}/{checked} certified runs grade p-stationary through grade_point and rampsvm certify")
 
 
 def test_criterion_08_outlier_boundedness():

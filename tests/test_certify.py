@@ -16,10 +16,8 @@ from rampsvm import (
     counterexample_dataset,
     counterexample_point,
     default_gamma_grid,
-    estimate_multiplier,
     grade_point,
     recover_multiplier,
-    reconstruct_point,
     single_point_dataset,
     single_point_point,
     symmetric_pair_dataset,
@@ -77,11 +75,11 @@ def test_grade_point_neither_on_garbage():
     assert cert.max_residual > 1e-3
 
 
-def test_estimate_multiplier_exact_when_square():
+def test_recover_multiplier_exact_when_square():
     # m = n+1 makes B^T square and nonsingular: recovery is exact.
     prob = build_problem(counterexample_dataset())
     point = counterexample_point()
-    lam, resid = estimate_multiplier(point.w, prob)
+    lam, resid = recover_multiplier(point.w, point.b, prob, COUNTEREXAMPLE_C)
     assert resid <= 1e-12
     assert np.allclose(lam, point.lam, atol=1e-12)
 
@@ -108,11 +106,13 @@ def test_recover_multiplier_uses_margin_structure():
     assert np.all(lam[off] == 0.0)
 
 
-def test_reconstruct_point_feasibility():
+def test_recover_multiplier_on_margin_pair():
+    # Both samples sit on the margin (u = 0), so both components are free
+    # and least squares must split the gradient condition between them.
     prob = build_problem(symmetric_pair_dataset())
-    point = reconstruct_point(np.array([1.0]), 0.0, prob)
-    assert np.allclose(point.u + prob.A @ point.w + point.b * prob.y, 1.0)
-    assert np.allclose(point.lam, [-0.5, -0.5], atol=1e-12)
+    lam, resid = recover_multiplier(np.array([1.0]), 0.0, prob, C=1.0)
+    assert resid <= 1e-12
+    assert np.allclose(lam, [-0.5, -0.5], atol=1e-12)
 
 
 def test_kkt_multiplier_interval_logic():
@@ -141,9 +141,10 @@ def test_certificate_residuals_nonnegative():
     prob = build_problem(counterexample_dataset())
     rng = np.random.default_rng(5)
     for _ in range(20):
-        point = reconstruct_point(
-            rng.standard_normal(2), float(rng.standard_normal()), prob
-        )
+        w, b = rng.standard_normal(2), float(rng.standard_normal())
+        lam, _ = recover_multiplier(w, b, prob, COUNTEREXAMPLE_C)
+        u = 1.0 - prob.A @ w - b * prob.y
+        point = PrimalDualPoint(w=w, b=b, u=u, lam=lam)
         cert = check_pstationary(point, prob, COUNTEREXAMPLE_C, gamma=2.0)
         for r in (cert.r_grad, cert.r_y, cert.r_feas, cert.r_prox):
             assert r >= 0.0

@@ -1,4 +1,4 @@
-"""Ramp loss, its subdifferential, and the full objective."""
+"""Ramp loss and the full objective."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from rampsvm import (
     objective,
     ramp_loss,
     ramp_loss_sum,
-    ramp_subdiff,
 )
 
 finite_floats = st.floats(
@@ -58,23 +57,6 @@ def test_ramp_loss_sum_is_sum_of_scalars(vals):
     assert ramp_loss_sum(u) == pytest.approx(
         sum(ramp_loss(v) for v in vals), abs=1e-9
     )
-
-
-def test_ramp_subdiff_regions():
-    assert ramp_subdiff(-2.0).lo == 0.0 and ramp_subdiff(-2.0).hi == 0.0
-    assert ramp_subdiff(3.0).lo == 0.0 and ramp_subdiff(3.0).hi == 0.0
-    mid = ramp_subdiff(0.5)
-    assert mid.lo == 1.0 and mid.hi == 1.0
-    for knot in (0.0, 1.0):
-        iv = ramp_subdiff(knot)
-        assert iv.lo == 0.0 and iv.hi == 1.0
-
-
-def test_subdiff_interval_contains():
-    iv = ramp_subdiff(0.0)
-    assert iv.contains(0.0) and iv.contains(1.0) and iv.contains(0.3)
-    assert not iv.contains(1.0 + 1e-9)
-    assert not iv.contains(-1e-9)
 
 
 def _toy_dataset():
