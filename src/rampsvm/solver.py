@@ -13,10 +13,11 @@ every iterate is certified: the solver only reports CONVERGED when the
 P-stationarity residuals actually drop below tol, and MAX_ITER / DIVERGED
 are first-class outcomes.
 
-The global oracle is a brute-force multilevel grid search over (w, b),
-restricted to n <= 2 where exhaustive search is honest.  It exists as an
-independent reference for testing stationarity claims at true minimizers,
-not as a practical trainer.
+The global oracle is exact over a (w, b) box for n <= 2: it enumerates the
+O(C(2m + 2d, d)) vertices of the arrangement of kink planes and box facets,
+d = n + 1, and the faces through them.  It exists as an independent
+reference for testing stationarity claims at true minimizers, not as a
+practical trainer.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -170,135 +172,131 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
     )
 
 
-def _normalize_bounds(bounds, dim: int) -> list[tuple[float, float]]:
-    bounds = list(bounds)
-    if len(bounds) == 2 and all(np.isscalar(v) for v in bounds):
-        bounds = [tuple(bounds)] * dim
-    if len(bounds) != dim:
-        raise ValueError(f"need {dim} (lo, hi) pairs, got {len(bounds)}")
-    out = []
-    for lo, hi in bounds:
-        lo, hi = float(lo), float(hi)
-        if not (lo < hi):
-            raise ValueError(f"empty box axis ({lo}, {hi})")
-        out.append((lo, hi))
-    return out
+# Relative bound below which plane normals count as dependent and a flat
+# as free along b.
+_SINGULAR = 1e-12
+# d-subsets of planes solved per batch, which bounds memory as m grows.
+_CHUNK = 4096
 
 
-def _grid_min(axes, A, y, C, chunk=200_000):
-    """Best (w..., b) over the cartesian grid, evaluated in chunks."""
-    sizes = [len(ax) for ax in axes]
-    total = int(np.prod(sizes))
-    n = len(axes) - 1
-    best_val = math.inf
-    best_pt = None
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        coords = np.unravel_index(idx, sizes)
-        P = np.stack([axes[d][coords[d]] for d in range(len(axes))], axis=1)
-        W, bb = P[:, :n], P[:, n]
-        U = 1.0 - W @ A.T - bb[:, None] * y[None, :]
-        vals = 0.5 * np.einsum("ij,ij->i", W, W) + C * np.clip(U, 0.0, 1.0).sum(
-            axis=1
-        )
-        k = int(np.argmin(vals))
-        if vals[k] < best_val:
-            best_val = float(vals[k])
-            best_pt = P[k].copy()
-    return best_pt, best_val
+def _faces(NP):
+    """Faces through vertices v whose active planes have the unit normals NP.
 
-
-def _polish(problem: ProblemData, C: float, w, b: float, box, tol: float):
-    """Active-set refinement of a grid incumbent; None when not applicable.
-
-    Grid refinement resolves which margins are pinned at the kinks long
-    before it resolves the position along a kink valley, so the incumbent
-    can stagnate a few coarse cells away from the basin minimum.  This
-    step reads the margin pattern off the incumbent (u_i within tol of 0,
-    of 1, or strictly inside the band), solves the stationarity system of
-    that pattern exactly, and proposes the solution.  The caller keeps it
-    only if it is inside the box and at least as good.
+    Yields direction rows U per vertex and face; the face's flat is
+    v + U^T alpha, and an active plane is crossed on the side of the first
+    row not in it.  Each line where d - 1 active planes meet gives its two
+    edges, U = (+-t).  For d = 3, each of the two planes also gives the four
+    faces in it next to those edges, U = (+-t, +-s), s normal to the line.
+    Every 2-D face has an edge, so O(k^2) choices for k planes reach all.
     """
-    A, y = problem.A, problem.y
-    u = 1.0 - A @ np.asarray(w, dtype=float) - float(b) * y
-    zero = [i for i, v in enumerate(u) if abs(v) <= tol]
-    one = [i for i, v in enumerate(u) if abs(v - 1.0) <= tol]
-    band = [i for i, v in enumerate(u) if tol < v < 1.0 - tol]
-    free = zero + one
-    w_fixed = C * A[band].sum(axis=0) if band else np.zeros(problem.n)
-    if not free:
-        return np.concatenate((w_fixed, [float(b)]))
-    k = len(free)
-    M = np.empty((k + 1, k + 1))
-    rhs = np.empty(k + 1)
-    M[:k, :k] = A[free] @ A[free].T
-    M[:k, k] = -y[free]
-    M[k, :k] = y[free]
-    M[k, k] = 0.0
-    targets = np.array([0.0] * len(zero) + [1.0] * len(one))
-    rhs[:k] = targets - 1.0 + A[free] @ w_fixed
-    rhs[k] = C * float(np.sum(y[band]))
-    sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    if not np.all(np.isfinite(sol)):
-        return None
-    if np.max(np.abs(M @ sol - rhs)) > 1e-8 * (1.0 + np.max(np.abs(rhs))):
-        return None
-    w_new = w_fixed - A[free].T @ sol[:k]
-    return np.concatenate((w_new, [sol[k]]))
+    k, d = NP.shape[1:]
+    E = NP[:, np.array(list(combinations(range(k), d - 1)), dtype=int)]
+    cofactors = [(-1) ** i * np.linalg.det(np.delete(E, i, axis=3)) for i in range(d)]
+    t = np.stack(cofactors, axis=-1)
+    yield np.concatenate((t, -t), axis=1)[:, :, None, :]
+    if d == 3:
+        o = E[:, :, ::-1]
+        s = (o - np.sum(o * E, axis=3, keepdims=True) * E).reshape(len(E), -1, d)
+        t = np.repeat(t, 2, axis=1)
+        t = np.concatenate((t, t, -t, -t), axis=1)
+        yield np.stack((t, np.concatenate((s, -s, s, -s), axis=1)), axis=2)
+
+
+def _candidates(T, N, r, box, C, B) -> np.ndarray:
+    """Candidate minimizers from the vertices that the d-subsets T cut out.
+
+    Every in-box vertex is one, and so is the minimizer of 1/2 |w|^2 + g^T z
+    on the flat of every face through it, with g = -C sum B_i over the
+    samples inside the band on that face; these get clipped into the box.
+    Flats free along b are skipped: their minimum is also on a lower face.
+    """
+    m, d = B.shape
+    T = T[np.abs(np.linalg.det(N[T])) > _SINGULAR]
+    V = np.linalg.solve(N[T], r[T][..., None])[..., 0]
+    # Vertices on the box may stray out of it by rounding; they get clipped.
+    slack = 1e-10 * (1.0 + np.abs(box).max())
+    V = V[np.all((V >= box[:, 0] - slack) & (V <= box[:, 1] + slack), axis=1)]
+    # A plane within this residual counts as active, which only adds faces.
+    size = 1.0 + np.abs(V).max(axis=1, keepdims=True)
+    active = np.abs(V @ N.T - r) <= 1e-9 * size
+    # Its active planes fix a vertex; several subsets cut out a degenerate one.
+    first = np.sort(np.unique(active, axis=0, return_index=True)[1])
+    V, active = V[first], active[first]
+    u = 1.0 - V @ B.T
+    inside = (u > 0.0) & (u < 1.0) & ~(active[:, :m] | active[:, m : 2 * m])
+    g_vertex = -C * (inside @ B)
+    S = np.vstack((B, B, np.zeros((2 * d, d))))  # B_i of each kink plane
+    found = [V]
+    counts = active.sum(axis=1)
+    for k in np.unique(counts):
+        rows = np.flatnonzero(counts == k)
+        P = np.nonzero(active[rows])[1].reshape(rows.size, k)
+        for U in _faces(N[P]):
+            proj = U @ N[P][:, None].swapaxes(2, 3)
+            tol = _SINGULAR * np.linalg.norm(U, axis=3, keepdims=True)
+            proj[np.abs(proj) <= tol] = 0.0
+            # Each active plane is crossed along the first row of U not in it.
+            cross = np.where(proj[:, :, 0] == 0.0, proj[:, :, -1], proj[:, :, 0])
+            band = (cross > 0.0) & (P < 2 * m)[:, None, :]
+            g = g_vertex[rows, None, :] - C * (band @ S[P])
+            # Minimize over alpha: (Uw Uw^T) alpha = -(Uw w_v + U g).
+            Uw = U[..., :-1]
+            A = Uw @ Uw.swapaxes(2, 3)
+            rhs = -(Uw @ V[rows, None, :-1, None] + U @ g[..., None])
+            ok = np.linalg.det(A) > _SINGULAR * np.linalg.det(U @ U.swapaxes(2, 3))
+            step = np.linalg.solve(A[ok], rhs[ok]).swapaxes(1, 2) @ U[ok]
+            found.append(np.broadcast_to(V[rows, None], g.shape)[ok] + step[:, 0])
+    return np.clip(np.concatenate(found), box[:, 0], box[:, 1])
 
 
 def global_oracle(
-    problem: ProblemData,
-    C: float,
-    bounds,
-    coarse_step: float = 0.1,
-    refine_levels: int = 3,
+    problem: ProblemData, C: float, bounds
 ) -> tuple[np.ndarray, float, float]:
-    """Exhaustive multilevel grid search for the global minimum, n <= 2 only.
+    """Exact global minimum of the objective over a (w, b) box, n <= 2 only.
 
-    A coarse pass covers the whole (w, b) box at coarse_step; each of the
-    refine_levels rounds then re-grids a span of +-1.5 * previous step
-    around the incumbent with a 10x finer step.  A final active-set polish
-    solves the incumbent's margin pattern exactly, since pure refinement
-    stalls along kink valleys where lattice alignment dominates the
-    along-valley gain.  Returns (w, b, value) of the best point visited.
+    In z = (w, b), d = n + 1, the objective is smooth on each cell of the
+    arrangement of the 2m kink planes B_i z = 1 and B_i z = 0.  With the 2d
+    box facets added as planes, every face in the box has a vertex, where d
+    planes with independent normals meet.  A minimizer minimizes its face's
+    quadratic over the face's flat, or lies on a lower face as well.  So
+    the oracle visits the O(C(2m + 2d, d)) vertices, minimizes over the flat
+    of every face through each one, and keeps the first best candidate in a
+    fixed order, so repeated calls agree bit for bit.  bounds holds one
+    (lo, hi) pair per coordinate, or one pair for all.  Returns (w, b,
+    value) with value = objective(w, b).
     """
     n = problem.n
     if n > 2:
         raise ValueError(f"global oracle is limited to n <= 2, got n = {n}")
-    if C <= 0:
-        raise ValueError("C must be positive")
-    if coarse_step <= 0:
-        raise ValueError("coarse_step must be positive")
-    dim = n + 1
-    box = _normalize_bounds(bounds, dim)
-    A, y = problem.A, problem.y
-
-    step = float(coarse_step)
-    axes = [np.arange(lo, hi + 0.5 * step, step) for lo, hi in box]
-    best_pt, best_val = _grid_min(axes, A, y, C)
-    for _ in range(refine_levels):
-        span = 1.5 * step
-        step /= 10.0
-        offsets = np.arange(-round(span / step), round(span / step) + 1) * step
-        axes = [c + offsets for c in best_pt]
-        pt, val = _grid_min(axes, A, y, C)
-        if val < best_val:
-            best_pt, best_val = pt, val
-    # Two sweeps over widening margin-detection windows: a margin the grid
-    # left just outside one window is pulled within reach of the next once
-    # the first accepted polish moves the incumbent onto its kink valley.
-    for _ in range(2):
-        for tol in (1e-3, 3e-3, 1e-2):
-            polished = _polish(problem, C, best_pt[:n], best_pt[n], box, tol)
-            if polished is None or not all(
-                lo - 1e-9 <= v <= hi + 1e-9 for v, (lo, hi) in zip(polished, box)
-            ):
-                continue
-            val = objective(polished[:n], polished[n], problem.dataset, C)
-            if val <= best_val + 1e-12 * (1.0 + abs(best_val)):
-                best_pt, best_val = polished, float(val)
-    return best_pt[:n].copy(), float(best_pt[n]), best_val
+    if not (math.isfinite(C) and C > 0):
+        raise ValueError(f"C must be finite and positive, got {C}")
+    d = n + 1
+    box = np.array(bounds, dtype=float)
+    if box.shape == (2,):
+        box = np.tile(box, (d, 1))
+    if box.shape != (d, 2):
+        raise ValueError(f"bounds need {d} (lo, hi) pairs, got shape {box.shape}")
+    if not np.all(np.isfinite(box)):
+        raise ValueError(f"bounds must be finite, got {box.tolist()}")
+    if not np.all(box[:, 0] < box[:, 1]):
+        raise ValueError(f"bounds has an empty axis: {box.tolist()}")
+    B, m = problem.B, problem.m
+    # Kink normals point to the band side: u_i > 0 is -B_i z > -1, and
+    # u_i < 1 is B_i z > 0.
+    N = np.vstack((-B, B, np.eye(d), np.eye(d)))
+    norms = np.linalg.norm(N, axis=1)
+    r = np.concatenate((-np.ones(m), np.zeros(m), box[:, 0], box[:, 1])) / norms
+    N /= norms[:, None]
+    subsets = combinations(range(len(r)), d)
+    best_val, best = math.inf, None
+    while chunk := list(islice(subsets, _CHUNK)):
+        Zc = _candidates(np.array(chunk), N, r, box, C, B)
+        u = np.clip(1.0 - Zc @ B.T, 0.0, 1.0)
+        vals = 0.5 * np.sum(Zc[:, :n] ** 2, axis=1) + C * u.sum(axis=1)
+        if len(vals) and vals.min() < best_val:
+            best_val, best = vals.min(), Zc[np.argmin(vals)]
+    w, b = best[:n].copy(), float(best[n])
+    return w, b, float(objective(w, b, problem.dataset, C))
 
 
 def predict(w, b: float, x) -> int:

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import kkt_enumerate
+from rampsvm import solver
 from rampsvm import (
     COUNTEREXAMPLE_C,
     Dataset,
+    PrimalDualPoint,
     SolveStatus,
     SolverConfig,
     Verdict,
@@ -19,6 +21,7 @@ from rampsvm import (
     global_oracle,
     objective,
     predict,
+    recover_multiplier,
     single_point_dataset,
     symmetric_pair_dataset,
     train_admm,
@@ -105,8 +108,8 @@ def test_train_diverged_status():
 
 
 def test_oracle_matches_enumeration():
-    # Independent check on five random tiny instances: the grid oracle with
-    # active-set polish must land on the exact combinatorial minimum.
+    # Independent check on five random tiny instances: the arrangement
+    # enumeration must land on the exact combinatorial minimum.
     rng = np.random.default_rng(21)
     checked = 0
     while checked < 5:
@@ -153,6 +156,132 @@ def test_oracle_rejects_high_dimensions():
     prob = build_problem(Dataset(X=X, y=y))
     with pytest.raises(ValueError):
         global_oracle(prob, 1.0, bounds=(-1.0, 1.0))
+
+
+@pytest.mark.parametrize("C", [math.nan, math.inf, 0.0, -1.0])
+def test_oracle_rejects_bad_C(C):
+    prob = build_problem(symmetric_pair_dataset())
+    with pytest.raises(ValueError, match="C must be finite and positive"):
+        global_oracle(prob, C, bounds=((-2, 2), (-3, 3)))
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [((-math.inf, 2), (-3, 3)), ((-2, 2), (-3, math.nan)), (-math.inf, math.inf)],
+)
+def test_oracle_rejects_non_finite_bounds(bounds):
+    prob = build_problem(symmetric_pair_dataset())
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        global_oracle(prob, 1.0, bounds=bounds)
+
+
+def _criterion8_pair(seed, C=1.0):
+    """Criterion 8's clean set, the same set plus the outlier, and the box
+    both are solved in."""
+    clean = gen_synthetic(4, 3.0, 0.0, seed)
+    augmented = Dataset(
+        X=np.vstack([clean.X, [[-30.0, 0.0]]]), y=np.append(clean.y, 1.0)
+    )
+    prob0, prob1 = build_problem(clean), build_problem(augmented)
+    wb = math.sqrt(2.0 * C * prob1.m) + 0.5
+    bb = 1.0 + float(np.linalg.norm(prob1.A, axis=1).max()) * wb + 0.5
+    return prob0, prob1, ((-wb, wb), (-wb, wb), (-bb, bb))
+
+
+def _certify_minimizer(prob, C, w, b):
+    """Certificate of a primal point at criterion 5's prox step, tol 1e-2."""
+    u = 1.0 - prob.A @ w - b * prob.y
+    lam, _ = recover_multiplier(w, b, prob, C)
+    gamma = min(0.5 / prob.lambda_h, 1.9 / C)
+    for u_i in u:
+        if u_i > 1.0 + 1e-3:
+            gamma = min(gamma, (u_i - 1.0) / C)
+        elif 1e-3 < u_i < 1.0 - 1e-3:
+            gamma = min(gamma, (1.0 - u_i) / C)
+    point = PrimalDualPoint(w=w, b=b, u=u, lam=lam)
+    return check_pstationary(point, prob, C, gamma, 1e-2)
+
+
+# kkt_enumerate's minima of the clean sets on which the earlier grid oracle
+# stopped above the minimum (158) or at a point that did not certify (134,
+# 140).  Pinned because kkt_enumerate takes about 25 s per m = 8 set.
+_KKT_MINIMA = {
+    134: 0.2436387331828053,
+    140: 2.5561225426553733,
+    158: 1.0082417092383271,
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_KKT_MINIMA))
+def test_oracle_exact_on_criterion8_regressions(seed):
+    prob0, prob1, box = _criterion8_pair(seed)
+    values = []
+    for prob in (prob0, prob1):
+        w, b, f = global_oracle(prob, 1.0, bounds=box)
+        cert = _certify_minimizer(prob, 1.0, w, b)
+        assert cert.verdict is Verdict.P_STATIONARY, cert.max_residual
+        values.append(f)
+    assert values[0] == pytest.approx(_KKT_MINIMA[seed], abs=1e-9)
+
+
+def test_oracle_sweep_criterion8_pairs():
+    # Every pair of data seeds 100-159: adding the outlier costs at most C,
+    # and every minimizer certifies.
+    for seed in range(100, 160):
+        prob0, prob1, box = _criterion8_pair(seed)
+        values = []
+        for prob in (prob0, prob1):
+            w, b, f = global_oracle(prob, 1.0, bounds=box)
+            cert = _certify_minimizer(prob, 1.0, w, b)
+            assert cert.verdict is Verdict.P_STATIONARY, (
+                f"seed {seed}, m = {prob.m}: residual {cert.max_residual:.3e}"
+            )
+            values.append(f)
+        f0, f1 = values
+        assert f0 - 1e-9 <= f1 <= f0 + 1.0 + 1e-6, f"seed {seed}: {f0}, {f1}"
+
+
+def test_oracle_batches_agree(monkeypatch):
+    # Plane subsets are solved in batches; batches of 7 give the same value.
+    prob0, prob1, box = _criterion8_pair(158)
+    _, _, f = global_oracle(prob1, 1.0, bounds=box)
+    monkeypatch.setattr(solver, "_CHUNK", 7)
+    _, _, f_small = global_oracle(prob1, 1.0, bounds=box)
+    assert f_small == pytest.approx(f, abs=1e-12)
+
+
+def _exact_b_grid(X, y, C, box, step):
+    """Lowest objective over a w-grid of the given step with b exact in the
+    box: for fixed w the objective is piecewise linear in b with kinks at
+    u_j = 0 and u_j = 1, so its minimum over [b_lo, b_hi] sits at a kink
+    clipped into that range."""
+    *w_box, (b_lo, b_hi) = box
+    axes = [np.arange(lo, hi + 0.5 * step, step) for lo, hi in w_box]
+    W = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1)
+    z = (W @ X.T) * y
+    bs = np.clip(np.concatenate((y * (1.0 - z), -y * z), axis=1), b_lo, b_hi)
+    U = 1.0 - z[:, None, :] - bs[:, :, None] * y
+    f = 0.5 * np.sum(W * W, axis=1)[:, None] + C * np.clip(U, 0.0, 1.0).sum(axis=2)
+    return float(f.min())
+
+
+@pytest.mark.parametrize(
+    "ds, box",
+    [
+        (symmetric_pair_dataset(), ((-0.5, 0.5), (-3.0, 3.0))),
+        (gen_synthetic(4, 3.0, 0.0, 100), ((-0.3, 0.3), (-0.3, 0.3), (-5.0, 5.0))),
+    ],
+)
+def test_oracle_box_cuts_off_minimizer(ds, box):
+    prob = build_problem(ds)
+    wide = [(-10.0, 10.0)] * prob.n + [(-50.0, 50.0)]
+    w_free, b_free, f_free = global_oracle(prob, 1.0, bounds=wide)
+    coords = (*w_free, b_free)
+    assert not all(lo <= v <= hi for v, (lo, hi) in zip(coords, box))
+    w, b, f = global_oracle(prob, 1.0, bounds=box)
+    assert all(lo <= v <= hi for v, (lo, hi) in zip((*w, b), box))
+    assert f == objective(w, b, ds, 1.0)
+    assert f_free < f <= _exact_b_grid(ds.X, ds.y, 1.0, box, step=0.005) + 1e-12
 
 
 def test_predict_signs():
