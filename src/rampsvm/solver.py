@@ -172,8 +172,8 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
     )
 
 
-# Relative bound below which plane normals count as dependent and a flat
-# as free along b.
+# Relative size below which a determinant or projection counts as zero:
+# dependent normals, a flat free along b, a direction lying in a plane.
 _SINGULAR = 1e-12
 # d-subsets of planes solved per batch, which bounds memory as m grows.
 _CHUNK = 4096
