@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import combinations
 
 import numpy as np
 
@@ -175,8 +175,6 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
 # Relative size below which a determinant or projection counts as zero:
 # dependent normals, a flat free along b, a direction lying in a plane.
 _SINGULAR = 1e-12
-# d-subsets of planes solved per batch, which bounds memory as m grows.
-_CHUNK = 4096
 
 
 def _faces(NP):
@@ -287,14 +285,10 @@ def global_oracle(
     norms = np.linalg.norm(N, axis=1)
     r = np.concatenate((-np.ones(m), np.zeros(m), box[:, 0], box[:, 1])) / norms
     N /= norms[:, None]
-    subsets = combinations(range(len(r)), d)
-    best_val, best = math.inf, None
-    while chunk := list(islice(subsets, _CHUNK)):
-        Zc = _candidates(np.array(chunk), N, r, box, C, B)
-        u = np.clip(1.0 - Zc @ B.T, 0.0, 1.0)
-        vals = 0.5 * np.sum(Zc[:, :n] ** 2, axis=1) + C * u.sum(axis=1)
-        if len(vals) and vals.min() < best_val:
-            best_val, best = vals.min(), Zc[np.argmin(vals)]
+    T = np.array(list(combinations(range(len(r)), d)))
+    Z = _candidates(T, N, r, box, C, B)
+    u = np.clip(1.0 - Z @ B.T, 0.0, 1.0)
+    best = Z[np.argmin(0.5 * np.sum(Z[:, :n] ** 2, axis=1) + C * u.sum(axis=1))]
     w, b = best[:n].copy(), float(best[n])
     return w, b, float(objective(w, b, problem.dataset, C))
 

