@@ -44,7 +44,6 @@ from .problem import (
     ProblemData,
     build_problem,
     lambda_H,
-    solve_spd,
     spd_solver,
 )
 from .prox import (
@@ -104,7 +103,6 @@ __all__ = [
     "ProblemData",
     "build_problem",
     "lambda_H",
-    "solve_spd",
     "spd_solver",
     "ProxParams",
     "ProxSet",

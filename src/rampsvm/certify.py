@@ -119,6 +119,11 @@ class KKTCheck:
         return max(self.r_grad, self.r_y, self.r_feas, self.r_multiplier)
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
 def _check_dims(point: PrimalDualPoint, problem: ProblemData) -> None:
     if point.w.shape != (problem.n,):
         raise ValueError(
@@ -155,8 +160,7 @@ def check_pstationary(
     from u_i to prox(u_i - gamma*lambda_i), so two-valued ties count as
     satisfied when either member matches.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     _check_dims(point, problem)
     params = ProxParams(gamma, C)
     r_grad, r_y, r_feas = _shared_residuals(point, problem)
@@ -170,20 +174,6 @@ def check_pstationary(
     return Certificate(r_grad, r_y, r_feas, r_prox, gamma, verdict)
 
 
-def _multiplier_interval(u_i: float, C: float, tol: float) -> tuple[float, float]:
-    """Admissible [lo, hi] for lambda_i given u_i, snapping breakpoints.
-
-    u_i within tol of 0 or 1 counts as on the breakpoint, where any value in
-    [-C, 0] is admissible; strictly inside (0, 1) forces exactly -C; outside
-    [0, 1] forces exactly 0.
-    """
-    if abs(u_i) <= tol or abs(u_i - 1.0) <= tol:
-        return (-C, 0.0)
-    if 0.0 < u_i < 1.0:
-        return (-C, -C)
-    return (0.0, 0.0)
-
-
 def check_kkt(
     point: PrimalDualPoint,
     problem: ProblemData,
@@ -192,16 +182,20 @@ def check_kkt(
 ) -> KKTCheck:
     """Check the KKT system: lines 1-3 plus -lambda_i/C in the ramp
     subdifferential at u_i, expressed as an interval distance."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     if C <= 0:
         raise ValueError("C must be positive")
     _check_dims(point, problem)
     r_grad, r_y, r_feas = _shared_residuals(point, problem)
-    r_mult = 0.0
-    for u_i, l_i in zip(point.u, point.lam):
-        lo, hi = _multiplier_interval(float(u_i), C, tol)
-        r_mult = max(r_mult, lo - float(l_i), float(l_i) - hi, 0.0)
+    # Admissible [lo, hi] for lambda_i: u_i within tol of 0 or 1 counts as
+    # on the breakpoint, where all of [-C, 0] is admissible; strictly inside
+    # (0, 1) forces exactly -C; outside [0, 1] forces exactly 0.
+    u, lam = point.u, point.lam
+    kink = (np.abs(u) <= tol) | (np.abs(u - 1.0) <= tol)
+    band = ~kink & (u > 0.0) & (u < 1.0)
+    lo = np.where(kink | band, -C, 0.0)
+    hi = np.where(band, -C, 0.0)
+    r_mult = float(np.maximum(lo - lam, lam - hi).max(initial=0.0))
     passed = max(r_grad, r_y, r_feas, r_mult) <= tol
     return KKTCheck(passed, r_grad, r_y, r_feas, r_mult)
 
@@ -238,14 +232,10 @@ def recover_multiplier(
         raise ValueError(f"w has shape {w.shape}, expected ({problem.n},)")
     u = 1.0 - problem.A @ w - float(b) * problem.y
     lam = np.zeros(problem.m)
-    active = []
-    for i, u_i in enumerate(u):
-        if abs(u_i) <= region_tol:
-            active.append(i)
-        elif region_tol < u_i < 1.0 - region_tol:
-            lam[i] = -C
+    lam[(u > region_tol) & (u < 1.0 - region_tol)] = -C
+    active = np.flatnonzero(np.abs(u) <= region_tol)
     rhs = np.concatenate((-w, [0.0])) - problem.B.T @ lam
-    if active:
+    if active.size:
         sol, *_ = np.linalg.lstsq(problem.B.T[:, active], rhs, rcond=None)
         lam[active] = sol
     resid = float(

@@ -16,7 +16,6 @@ outside that hypothesis would be misleading.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ __all__ = [
     "build_problem",
     "lambda_H",
     "spd_solver",
-    "solve_spd",
 ]
 
 # Relative threshold on Cholesky diagonals below which B counts as
@@ -169,20 +167,3 @@ def spd_solver(M):
 
     return solve
 
-
-def solve_spd(M, rhs) -> np.ndarray:
-    """Solve Mx = rhs for symmetric positive-definite M.
-
-    Guarantees the residual bound ||Mx - rhs||_inf <= 1e-10 * (1 + ||rhs||_inf)
-    and raises LinAlgError when the factorization or the bound fails.
-    """
-    M = np.asarray(M, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    x = spd_solver(M)(rhs)
-    resid = float(np.max(np.abs(M @ x - rhs)))
-    bound = 1e-10 * (1.0 + float(np.max(np.abs(rhs))))
-    if not math.isfinite(resid) or resid > bound:
-        raise np.linalg.LinAlgError(
-            f"solve residual {resid:.3e} exceeds bound {bound:.3e}"
-        )
-    return x

@@ -296,6 +296,25 @@ def test_certified_runs_grade_pstationary_on_every_path(capsys, tmp_path):
     print(f"cross-path PASS: {checked}/{checked} certified runs grade p-stationary through grade_point and rampsvm certify")
 
 
+def test_solver_batch_outcomes_pinned():
+    # The acceptance batch's outcomes: which runs converge, in how many
+    # iterations, and that every returned certificate is the one
+    # check_pstationary gives for the returned point.
+    pinned = {
+        3: 4619, 4: 601, 7: 2477, 10: 363, 11: 2077,
+        15: 1606, 17: 4472, 18: 561, 19: 2524,
+    }
+    converged = {}
+    for seed, ds, prob, res in _solver_batch():
+        if res.status is SolveStatus.CONVERGED:
+            converged[seed] = res.iterations
+        else:
+            assert res.status is SolveStatus.MAX_ITER, f"seed {seed}: {res.status}"
+        again = check_pstationary(res.point, prob, 1.0, 2.0, 1e-8)
+        assert again == res.certificate, f"seed {seed}: {again} != {res.certificate}"
+    assert converged == pinned
+
+
 def test_criterion_08_outlier_boundedness():
     C = 1.0
     start = time.perf_counter()

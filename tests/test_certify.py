@@ -128,6 +128,127 @@ def test_kkt_multiplier_interval_logic():
     assert res.r_multiplier >= 0.5
 
 
+def _scalar_r_multiplier(u, lam, C, tol):
+    """check_kkt's multiplier-interval distance, one sample at a time."""
+    r = 0.0
+    for u_i, l_i in zip(u, lam):
+        if abs(u_i) <= tol or abs(u_i - 1.0) <= tol:
+            lo, hi = -C, 0.0
+        elif 0.0 < u_i < 1.0:
+            lo, hi = -C, -C
+        else:
+            lo, hi = 0.0, 0.0
+        r = max(r, lo - float(l_i), float(l_i) - hi, 0.0)
+    return r
+
+
+def _scalar_recover_multiplier(w, b, prob, C, region_tol):
+    """recover_multiplier's region rule, one sample at a time."""
+    u = 1.0 - prob.A @ w - float(b) * prob.y
+    lam = np.zeros(prob.m)
+    active = []
+    for i, u_i in enumerate(u):
+        if abs(u_i) <= region_tol:
+            active.append(i)
+        elif region_tol < u_i < 1.0 - region_tol:
+            lam[i] = -C
+    target = np.concatenate((-w, [0.0]))
+    if active:
+        sol, *_ = np.linalg.lstsq(
+            prob.B.T[:, active], target - prob.B.T @ lam, rcond=None
+        )
+        lam[active] = sol
+    return lam, float(np.max(np.abs(prob.B.T @ lam - target)))
+
+
+def _around(x):
+    """x and its two floating-point neighbours."""
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+def test_check_kkt_matches_scalar_rule():
+    rng = np.random.default_rng(21)
+    C = 0.7
+    one = build_problem(Dataset(X=[[1.0]], y=[1.0]))
+    for tol in (1e-6, 1e-3, 0.25, 0.3):
+        # Each sample alone, at every float next to a breakpoint of the
+        # tol-snapped classification; the four multipliers tell the three
+        # intervals apart.
+        edges = [0.0, 1.0]
+        for e in (-tol, tol, 1.0 - tol, 1.0 + tol):
+            edges += _around(e)
+        for u_i in edges:
+            for l_i in (-C, -0.5 * C, 0.0, 0.5):
+                point = PrimalDualPoint(w=[0.0], b=0.0, u=[u_i], lam=[l_i])
+                res = check_kkt(point, one, C, tol)
+                assert res.r_multiplier == _scalar_r_multiplier(
+                    [u_i], [l_i], C, tol
+                ), (tol, u_i, l_i)
+        # Random points, all samples at once.
+        for _ in range(20):
+            m = 12
+            X = rng.uniform(-2.0, 2.0, size=(m, 2))
+            prob = build_problem(Dataset(X=X, y=rng.choice([-1.0, 1.0], m)))
+            u = np.concatenate((rng.uniform(-1.0, 2.0, m - 4), [0.0, 1.0, tol, -tol]))
+            lam = rng.choice([-C, 0.0], m) + rng.uniform(-0.1, 0.1, m)
+            point = PrimalDualPoint(w=rng.standard_normal(2), b=0.3, u=u, lam=lam)
+            res = check_kkt(point, prob, C, tol)
+            r_mult = _scalar_r_multiplier(u, lam, C, tol)
+            assert res.r_multiplier == r_mult
+            assert res.passed == (
+                max(res.r_grad, res.r_y, res.r_feas, r_mult) <= tol
+            )
+
+
+def test_recover_multiplier_matches_scalar_rule():
+    rng = np.random.default_rng(22)
+    C = 0.7
+    rt = 1e-3  # the default region_tol
+    # Margins near -rt and rt: a sample with x = y has u = -b * y exactly
+    # at w = 1, so b = rt and its neighbours put u on both sides of +-rt.
+    X = np.concatenate(([1.0, -1.0, 1.0, -1.0], rng.uniform(-2.0, 2.0, 6)))
+    y = np.concatenate(([1.0, -1.0, 1.0, -1.0], rng.choice([-1.0, 1.0], 6)))
+    near_zero = build_problem(Dataset(X=X[:, None], y=y))
+    for b in [0.0] + _around(rt):
+        w = np.array([1.0])
+        u = 1.0 - near_zero.A @ w - b * near_zero.y
+        assert b in u and -b in u
+        lam, resid = recover_multiplier(w, b, near_zero, C)
+        ref_lam, ref_resid = _scalar_recover_multiplier(w, b, near_zero, C, rt)
+        assert np.array_equal(lam, ref_lam) and resid == ref_resid, b
+    # Margins near 1 - rt and 1: at w = 1, b = 0 a sample with y = 1 and
+    # x = 1 - t has u = t exactly for t in [0.5, 1].
+    targets = _around(1.0 - rt) + [np.nextafter(1.0, 0.0), 1.0]
+    X = np.concatenate(([1.0 - t for t in targets], [1.0, -1.0, 0.5]))
+    near_one = build_problem(Dataset(X=X[:, None], y=np.ones(X.size)))
+    w = np.array([1.0])
+    assert set(targets) <= set(1.0 - near_one.A @ w)
+    lam, resid = recover_multiplier(w, 0.0, near_one, C)
+    ref_lam, ref_resid = _scalar_recover_multiplier(w, 0.0, near_one, C, rt)
+    assert np.array_equal(lam, ref_lam) and resid == ref_resid
+    # Random points, with a region wide enough to catch on-margin samples.
+    for region_tol in (rt, 0.2):
+        for _ in range(20):
+            X = rng.uniform(-2.0, 2.0, size=(15, 2))
+            prob = build_problem(Dataset(X=X, y=rng.choice([-1.0, 1.0], 15)))
+            w, b = rng.standard_normal(2), float(rng.standard_normal())
+            lam, resid = recover_multiplier(w, b, prob, C, region_tol)
+            ref_lam, ref_resid = _scalar_recover_multiplier(
+                w, b, prob, C, region_tol
+            )
+            assert np.array_equal(lam, ref_lam) and resid == ref_resid
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.inf, np.nan])
+def test_checks_reject_bad_tol(tol):
+    prob = build_problem(symmetric_pair_dataset())
+    point = symmetric_pair_point()
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        check_pstationary(point, prob, 1.0, 1.0, tol)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        check_kkt(point, prob, 1.0, tol)
+
+
 def test_default_gamma_grid_contents():
     prob = build_problem(counterexample_dataset())
     grid = default_gamma_grid(prob, C=0.25)

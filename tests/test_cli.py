@@ -137,6 +137,16 @@ def test_train_diverged_exit_code(capsys, easy_csv):
     assert json.loads(out)["result"]["status"] == "diverged"
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_train_rejects_non_finite_tol(capsys, easy_csv, tol):
+    capsys.readouterr()
+    code = main(["train", "--data", str(easy_csv), "--C", "1.0", "--tol", tol])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "tol must be finite and positive" in captured.err
+
+
 def test_certify_fixture_point(capsys, counterexample_csv):
     point = counterexample_point()
     w_arg = ",".join(repr(float(v)) for v in point.w)

@@ -12,7 +12,6 @@ from rampsvm import (
     counterexample_dataset,
     gen_synthetic,
     lambda_H,
-    solve_spd,
     spd_solver,
 )
 
@@ -95,15 +94,20 @@ def test_rank_deficient_paths():
 
 
 def test_spd_solver_accuracy():
+    # The trainer solves once for a matrix right-hand side (B^T); each
+    # column must meet the residual bound of a vector solve.
     rng = np.random.default_rng(4)
     G = rng.standard_normal((7, 7))
     M = G @ G.T + 7 * np.eye(7)
     solve = spd_solver(M)
-    for _ in range(3):
-        rhs = rng.standard_normal(7)
-        x = solve(rhs)
-        assert np.max(np.abs(M @ x - rhs)) <= 1e-10 * (1.0 + np.max(np.abs(rhs)))
-    assert np.allclose(solve_spd(M, rhs), x)
+    rhs = rng.standard_normal((7, 5))
+    x = solve(rhs)
+    assert x.shape == rhs.shape
+    for j in range(rhs.shape[1]):
+        resid = float(np.max(np.abs(M @ x[:, j] - rhs[:, j])))
+        assert np.isfinite(resid)
+        assert resid <= 1e-10 * (1.0 + np.max(np.abs(rhs[:, j])))
+        assert np.allclose(solve(rhs[:, j]), x[:, j])
 
 
 def test_spd_solver_rejects_indefinite():

@@ -38,6 +38,13 @@ def test_config_defaults_and_validation():
         SolverConfig(C=1.0, sigma=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(C=1.0, max_iter=0)
+    for tol in (0.0, -1e-6, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            SolverConfig(C=1.0, tol=tol)
+    for max_iter in (2.5, 10.0, "10", True):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            SolverConfig(C=1.0, max_iter=max_iter)
+    assert SolverConfig(C=1.0, max_iter=np.int64(5)).max_iter == 5
 
 
 def test_train_single_point():
