@@ -183,8 +183,8 @@ def check_kkt(
     """Check the KKT system: lines 1-3 plus -lambda_i/C in the ramp
     subdifferential at u_i, expressed as an interval distance."""
     _check_tol(tol)
-    if C <= 0:
-        raise ValueError("C must be positive")
+    if not (math.isfinite(C) and C > 0):
+        raise ValueError(f"C must be finite and positive, got {C}")
     _check_dims(point, problem)
     r_grad, r_y, r_feas = _shared_residuals(point, problem)
     # Admissible [lo, hi] for lambda_i: u_i within tol of 0 or 1 counts as
@@ -223,8 +223,8 @@ def recover_multiplier(
     B^T lambda - (-w; 0); a large residual means no multiplier with this
     structure makes w stationary.
     """
-    if C <= 0:
-        raise ValueError("C must be positive")
+    if not (math.isfinite(C) and C > 0):
+        raise ValueError(f"C must be finite and positive, got {C}")
     if region_tol <= 0:
         raise ValueError("region_tol must be positive")
     w = np.asarray(w, dtype=float)

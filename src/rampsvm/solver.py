@@ -105,15 +105,14 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
     """Run the alternating scheme until the stationarity residuals pass tol.
 
     The (w, b) system is factored once, before the loop, into the gain
-    matrix K = -sigma M^{-1} B^T, so an iteration is one prox and a few
-    small products.  Each iteration screens its iterate with the residuals
-    of check_pstationary, computed from the arrays it already holds; only
-    an iterate that passes the screen is handed to check_pstationary, and
-    CONVERGED is returned only when that call
-    agrees, so CONVERGED results always carry a P_STATIONARY certificate at
-    the configured tolerance and prox step 1/sigma.  MAX_ITER results carry
-    the iterate with the smallest screened max residual (the earliest on
-    ties), certified once by check_pstationary, with its iteration in
+    matrix K = -sigma M^{-1} B^T.  Each iteration screens its iterate with
+    the residuals of check_pstationary, computed from the arrays it already
+    holds, and hands only an iterate that passes to check_pstationary.
+    CONVERGED is returned only when that call agrees, so CONVERGED results
+    always carry a P_STATIONARY certificate at the configured tolerance and
+    prox step 1/sigma.  MAX_ITER results carry the iterate with the
+    smallest screened max residual (the earliest on ties), certified once
+    by check_pstationary, with its iteration in
     diagnostics["best_iteration"].  A failed SPD factorization or a
     non-finite iterate yields DIVERGED with the trigger recorded in
     diagnostics.
@@ -156,7 +155,7 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
 
     Bz = np.zeros(m)  # B @ (w; b) of the current iterate
     lam = np.zeros(m)
-    best = None  # (max residual, iteration, z, u, lam) of the best iterate
+    best_worst, best = math.inf, None  # best iterate: (iteration, z, u, lam)
     for it in range(1, config.max_iter + 1):
         lam_s = lam / sigma
         s = 1.0 - Bz - lam_s
@@ -176,7 +175,7 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
         g = B.T @ lam
         g[:n] += z[:n]
         worst = max(float(np.abs(g).max()), float(np.abs(feas).max()))
-        if worst <= tol or best is None or worst < best[0]:
+        if worst <= tol or worst < best_worst:
             r_prox = prox_distance(u, u - gamma * lam, params).max()
             worst = max(worst, float(r_prox))
         if worst <= tol:
@@ -184,9 +183,9 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
             cert = check_pstationary(point, problem, C, gamma, tol)
             if cert.verdict is Verdict.P_STATIONARY:
                 return result(SolveStatus.CONVERGED, point, cert, it, {})
-        if best is None or worst < best[0]:
-            best = (worst, it, z, u, lam)
-    _, best_it, z, u, lam = best
+        if worst < best_worst:
+            best_worst, best = worst, (it, z, u, lam)
+    best_it, z, u, lam = best
     point = PrimalDualPoint(w=z[:n], b=z[n], u=u, lam=lam)
     cert = check_pstationary(point, problem, C, gamma, tol)
     return result(

@@ -249,6 +249,18 @@ def test_checks_reject_bad_tol(tol):
         check_kkt(point, prob, 1.0, tol)
 
 
+@pytest.mark.parametrize("C", [0.0, -1.0, np.inf, np.nan])
+def test_kkt_and_recovery_reject_bad_C(C):
+    # A NaN C would make every multiplier-interval distance NaN, which
+    # max() then drops, so the check would pass.
+    prob = build_problem(symmetric_pair_dataset())
+    point = symmetric_pair_point()
+    with pytest.raises(ValueError, match="C must be finite and positive"):
+        check_kkt(point, prob, C)
+    with pytest.raises(ValueError, match="C must be finite and positive"):
+        recover_multiplier(point.w, point.b, prob, C)
+
+
 def test_default_gamma_grid_contents():
     prob = build_problem(counterexample_dataset())
     grid = default_gamma_grid(prob, C=0.25)
