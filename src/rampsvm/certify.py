@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._checks import check_positive
 from .problem import ProblemData
 # prox_scalar is not called here; it stays a module attribute because
 # bench/tracing.py counts prox_scalar calls by wrapping it in this module.
@@ -119,11 +120,6 @@ class KKTCheck:
         return max(self.r_grad, self.r_y, self.r_feas, self.r_multiplier)
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-
-
 def _check_dims(point: PrimalDualPoint, problem: ProblemData) -> None:
     if point.w.shape != (problem.n,):
         raise ValueError(
@@ -160,7 +156,7 @@ def check_pstationary(
     from u_i to prox(u_i - gamma*lambda_i), so two-valued ties count as
     satisfied when either member matches.
     """
-    _check_tol(tol)
+    check_positive("tol", tol)
     _check_dims(point, problem)
     params = ProxParams(gamma, C)
     r_grad, r_y, r_feas = _shared_residuals(point, problem)
@@ -182,9 +178,8 @@ def check_kkt(
 ) -> KKTCheck:
     """Check the KKT system: lines 1-3 plus -lambda_i/C in the ramp
     subdifferential at u_i, expressed as an interval distance."""
-    _check_tol(tol)
-    if not (math.isfinite(C) and C > 0):
-        raise ValueError(f"C must be finite and positive, got {C}")
+    check_positive("tol", tol)
+    check_positive("C", C)
     _check_dims(point, problem)
     r_grad, r_y, r_feas = _shared_residuals(point, problem)
     # Admissible [lo, hi] for lambda_i: u_i within tol of 0 or 1 counts as
@@ -223,10 +218,8 @@ def recover_multiplier(
     B^T lambda - (-w; 0); a large residual means no multiplier with this
     structure makes w stationary.
     """
-    if not (math.isfinite(C) and C > 0):
-        raise ValueError(f"C must be finite and positive, got {C}")
-    if region_tol <= 0:
-        raise ValueError("region_tol must be positive")
+    check_positive("C", C)
+    check_positive("region_tol", region_tol)
     w = np.asarray(w, dtype=float)
     if w.shape != (problem.n,):
         raise ValueError(f"w has shape {w.shape}, expected ({problem.n},)")

@@ -39,7 +39,6 @@ from .certify import check_pstationary  # noqa: F401
 from .datasets import (
     COUNTEREXAMPLE_C,
     DataFormat,
-    DataFormatError,
     counterexample_dataset,
     counterexample_point,
     gen_synthetic,
@@ -48,9 +47,7 @@ from .datasets import (
 )
 from .losses import objective
 from .problem import ProblemData, build_problem
-# prox_scalar is not called here; it stays a module attribute because
-# bench/tracing.py counts prox_scalar calls by wrapping it in this module.
-from .prox import ProxParams, prox_distance, prox_scalar, prox_vector  # noqa: F401
+from .prox import ProxParams, prox_distance, prox_scalar
 from .solver import SolveResult, SolveStatus, SolverConfig, train_admm
 from .support import DEFAULT_SV_TOL, extract_support, verify_support_margins
 
@@ -116,15 +113,6 @@ def _problem_dict(problem: ProblemData) -> dict:
     }
 
 
-def _versions() -> dict:
-    return {
-        "rampsvm": __version__,
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "python": platform.python_version(),
-    }
-
-
 def _digest(file_path=None, **params) -> str:
     """Hex digest of the input file bytes (if any) plus the parameters."""
     h = hashlib.sha256()
@@ -134,7 +122,19 @@ def _digest(file_path=None, **params) -> str:
     return h.hexdigest()
 
 
-def _emit(report: dict, out=None) -> None:
+def _emit(args, digest: str, report: dict, seed=None, out=None) -> None:
+    """Print the report, plus the keys every command's report carries."""
+    report.update(
+        command=args.subcommand,
+        inputs_digest=digest,
+        seed=seed,
+        versions={
+            "rampsvm": __version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "python": platform.python_version(),
+        },
+    )
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
     if out is not None:
@@ -161,15 +161,14 @@ def cmd_train(args) -> int:
         max_iter=args.max_iter,
     )
     res = train_admm(problem, config)
+    digest = _digest(
+        args.data,
+        C=config.C,
+        sigma=config.sigma,
+        tol=config.tol,
+        max_iter=config.max_iter,
+    )
     report = {
-        "command": "train",
-        "inputs_digest": _digest(
-            args.data,
-            C=config.C,
-            sigma=config.sigma,
-            tol=config.tol,
-            max_iter=config.max_iter,
-        ),
         "problem": _problem_dict(problem),
         "params": {
             "C": config.C,
@@ -179,10 +178,8 @@ def cmd_train(args) -> int:
             "max_iter": config.max_iter,
         },
         "result": _result_dict(res),
-        "seed": None,
-        "versions": _versions(),
     }
-    _emit(report, args.out)
+    _emit(args, digest, report, out=args.out)
     if res.status is SolveStatus.DIVERGED:
         return 3
     return _expect_exit(args, res.certificate.verdict)
@@ -210,16 +207,15 @@ def cmd_certify(args) -> int:
         lam, mult_residual = recover_multiplier(w, args.b, problem, C)
     point = PrimalDualPoint(w=w, b=args.b, u=u, lam=lam)
     certs, kkt, verdict = certify_point(point, problem, C, gammas, DEFAULT_TOL)
+    digest = _digest(
+        args.data,
+        w=_floats(w),
+        b=args.b,
+        C=C,
+        gammas=list(gammas),
+        lam=None if args.lam is None else _floats(args.lam),
+    )
     report = {
-        "command": "certify",
-        "inputs_digest": _digest(
-            args.data,
-            w=_floats(w),
-            b=args.b,
-            C=C,
-            gammas=list(gammas),
-            lam=None if args.lam is None else _floats(args.lam),
-        ),
         "problem": _problem_dict(problem),
         "params": {"C": C, "gammas": list(gammas), "tol": DEFAULT_TOL},
         "result": {
@@ -229,28 +225,22 @@ def cmd_certify(args) -> int:
             "point": _point_dict(point),
             "multiplier_residual": mult_residual,
         },
-        "seed": None,
-        "versions": _versions(),
     }
-    _emit(report)
+    _emit(args, digest, report)
     return _expect_exit(args, verdict)
 
 
 def cmd_prox_eval(args) -> int:
     params = ProxParams(args.gamma, args.C)
-    sets = prox_vector(args.s, params)
+    sets = [prox_scalar(s, params) for s in args.s]
     report = {
-        "command": "prox-eval",
-        "inputs_digest": _digest(s=list(args.s), gamma=args.gamma, C=args.C),
         "params": {"gamma": args.gamma, "C": args.C, "gammaC": params.gammaC},
         "result": [
             {"s": float(s), "values": list(p.values), "tie": p.tie}
             for s, p in zip(args.s, sets)
         ],
-        "seed": None,
-        "versions": _versions(),
     }
-    _emit(report)
+    _emit(args, _digest(s=list(args.s), gamma=args.gamma, C=args.C), report)
     return 0
 
 
@@ -264,7 +254,7 @@ def cmd_support_vectors(args) -> int:
     # Multipliers below the solver tolerance are numerically zero; keep the
     # support cutoff at or above it so iterate noise never becomes a vector.
     sv_tol = max(DEFAULT_SV_TOL, config.tol)
-    support = extract_support(res.point, problem, sv_tol, source_verdict=verdict)
+    support = extract_support(res.point, problem, sv_tol)
     margin_check = None
     if res.status is SolveStatus.DIVERGED:
         skipped = "solver diverged"
@@ -279,8 +269,6 @@ def cmd_support_vectors(args) -> int:
         margin_check = {"holds": holds, "max_deviation": deviation}
         skipped = None
     report = {
-        "command": "support-vectors",
-        "inputs_digest": _digest(args.data, C=args.C, sigma=args.sigma),
         "problem": _problem_dict(problem),
         "params": {"C": args.C, "sigma": args.sigma, "gamma": gamma},
         "result": {
@@ -297,10 +285,8 @@ def cmd_support_vectors(args) -> int:
             "margin_check": margin_check,
             "margin_check_skipped": skipped,
         },
-        "seed": None,
-        "versions": _versions(),
     }
-    _emit(report)
+    _emit(args, _digest(args.data, C=args.C, sigma=args.sigma), report)
     if res.status is SolveStatus.DIVERGED:
         return 3
     return 0
@@ -322,8 +308,6 @@ def cmd_counterexample(args) -> int:
         )
         stationarity.append(entry)
     report = {
-        "command": "counterexample",
-        "inputs_digest": _digest(gammas=list(gammas)),
         "problem": _problem_dict(problem),
         "params": {"C": C, "gammas": list(gammas), "tol": DEFAULT_TOL},
         "result": {
@@ -333,21 +317,16 @@ def cmd_counterexample(args) -> int:
             "point": _point_dict(point),
             "objective": objective(point.w, point.b, dataset, C),
         },
-        "seed": None,
-        "versions": _versions(),
     }
-    _emit(report)
+    _emit(args, _digest(gammas=list(gammas)), report)
     return 0
 
 
 def cmd_gen_data(args) -> int:
     dataset = gen_synthetic(args.n, args.sep, args.outliers, args.seed)
     write_csv(dataset, args.out)
+    digest = _digest(n=args.n, sep=args.sep, outliers=args.outliers, seed=args.seed)
     report = {
-        "command": "gen-data",
-        "inputs_digest": _digest(
-            n=args.n, sep=args.sep, outliers=args.outliers, seed=args.seed
-        ),
         "result": {
             "out": str(args.out),
             "m": dataset.m,
@@ -356,10 +335,8 @@ def cmd_gen_data(args) -> int:
                 Path(args.out).read_bytes()
             ).hexdigest(),
         },
-        "seed": args.seed,
-        "versions": _versions(),
     }
-    _emit(report)
+    _emit(args, digest, report, seed=args.seed)
     return 0
 
 
@@ -448,16 +425,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    # After LinAlgError, which subclasses ValueError; DataFormatError does too.
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,12 +12,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._checks import check_positive
+
 if TYPE_CHECKING:
     from .problem import Dataset
 
 __all__ = [
     "ramp_loss",
-    "ramp_loss_sum",
     "objective",
 ]
 
@@ -38,20 +39,6 @@ def ramp_loss(t: float) -> float:
     return 0.0
 
 
-def ramp_loss_sum(u) -> float:
-    """Sum of the ramp loss over the components of ``u``.
-
-    An empty vector sums to 0 by convention.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.size == 0:
-        return 0.0
-    if not np.all(np.isfinite(u)):
-        raise ValueError("ramp loss sum needs finite entries")
-    # clip(u, 0, 1) matches the piecewise definition exactly, boundaries included
-    return float(np.clip(u, 0.0, 1.0).sum())
-
-
 def objective(w, b: float, dataset: "Dataset", C: float) -> float:
     """Training objective 0.5*||w||^2 + C * sum_i ramp_loss(u_i).
 
@@ -61,7 +48,9 @@ def objective(w, b: float, dataset: "Dataset", C: float) -> float:
     w = np.asarray(w, dtype=float)
     if w.shape != (dataset.n,):
         raise ValueError(f"w has shape {w.shape}, expected ({dataset.n},)")
-    if C <= 0:
-        raise ValueError("C must be positive")
+    check_positive("C", C)
     u = 1.0 - dataset.y * (dataset.X @ w) - b * dataset.y
-    return 0.5 * float(w @ w) + C * ramp_loss_sum(u)
+    if not np.all(np.isfinite(u)):
+        raise ValueError("ramp loss sum needs finite entries")
+    # clip(u, 0, 1) matches the piecewise definition exactly, boundaries included
+    return 0.5 * float(w @ w) + C * float(np.clip(u, 0.0, 1.0).sum())

@@ -1,15 +1,16 @@
 """Dataset model and the derived matrices used by certification and training.
 
 From a labeled dataset we assemble A (row i is y_i * x_i), the label vector
-y, and B = [A y].  When B has full column rank we also carry its generalized
-inverse Bdag = (B^T B)^{-1} B^T, the matrix H obtained from Bdag by zeroing
-its last row, and lambda_h, the largest eigenvalue of the m x m matrix H^T H.
-lambda_h bounds the prox steps for which the stationarity certificate is a
-necessary condition at global minimizers, so it is surfaced in reports.  It
-is computed as the largest eigenvalue of the (n+1) x (n+1) matrix H H^T,
-which has the same nonzero spectrum, so the build takes O(m n) memory.
+y, and B = [A y].  When B has full column rank we also carry lambda_h, the
+largest eigenvalue of the m x m matrix H^T H, where H is the generalized
+inverse Bdag = (B^T B)^{-1} B^T of B with its last row zeroed.  lambda_h
+bounds the prox steps for which the stationarity certificate is a necessary
+condition at global minimizers, so it is surfaced in reports.  It is
+computed as the largest eigenvalue of the (n+1) x (n+1) matrix H H^T, which
+has the same nonzero spectrum, so the build takes O(m n) memory; neither
+Bdag nor H is kept.
 
-Rank-deficient B gets explicit None markers instead of an SVD pseudo-inverse:
+Rank-deficient B gets a None lambda_h instead of an SVD pseudo-inverse:
 the certification theory assumes full column rank, and silently working
 outside that hypothesis would be misleading.
 """
@@ -25,7 +26,6 @@ __all__ = [
     "Dataset",
     "ProblemData",
     "build_problem",
-    "lambda_H",
     "spd_solver",
 ]
 
@@ -79,8 +79,8 @@ class Dataset:
 class ProblemData:
     """Derived matrices for one dataset.
 
-    Bdag, H, lambda_h are None when B is rank-deficient (including the
-    unavoidable m < n+1 case).
+    lambda_h is None when B is rank-deficient (including the unavoidable
+    m < n+1 case).
     """
 
     dataset: Dataset
@@ -88,8 +88,6 @@ class ProblemData:
     y: np.ndarray
     B: np.ndarray
     full_column_rank: bool
-    Bdag: np.ndarray | None
-    H: np.ndarray | None
     lambda_h: float | None
 
     @property
@@ -102,7 +100,7 @@ class ProblemData:
 
 
 def build_problem(dataset: Dataset) -> ProblemData:
-    """Assemble A, y, B and, if B has full column rank, Bdag, H, lambda_h."""
+    """Assemble A, y, B and, if B has full column rank, lambda_h."""
     X, y = dataset.X, dataset.y
     m, n = dataset.m, dataset.n
     A = y[:, None] * X
@@ -110,7 +108,7 @@ def build_problem(dataset: Dataset) -> ProblemData:
     for arr in (A, B):
         arr.setflags(write=False)
 
-    Bdag = H = lam = None
+    lam = None
     full_rank = False
     if m >= n + 1:
         G = B.T @ B
@@ -122,11 +120,8 @@ def build_problem(dataset: Dataset) -> ProblemData:
             d = np.abs(np.diag(cf[0]))
             if d.min() >= _RANK_RTOL * d.max():
                 full_rank = True
-                Bdag = scipy.linalg.cho_solve(cf, B.T)
-                H = Bdag.copy()
+                H = scipy.linalg.cho_solve(cf, B.T)
                 H[-1, :] = 0.0
-                Bdag.setflags(write=False)
-                H.setflags(write=False)
                 lam = float(np.linalg.eigvalsh(H @ H.T)[-1])
     return ProblemData(
         dataset=dataset,
@@ -134,17 +129,8 @@ def build_problem(dataset: Dataset) -> ProblemData:
         y=y,
         B=B,
         full_column_rank=full_rank,
-        Bdag=Bdag,
-        H=H,
         lambda_h=lam,
     )
-
-
-def lambda_H(problem: ProblemData) -> float:
-    """Largest eigenvalue of H^T H; raises when B is rank-deficient."""
-    if problem.lambda_h is None:
-        raise ValueError("lambda_H undefined: B is not full column rank")
-    return problem.lambda_h
 
 
 def spd_solver(M):

@@ -30,13 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_positive
 from .losses import ramp_loss
 
 __all__ = [
     "ProxParams",
     "ProxSet",
     "prox_scalar",
-    "prox_vector",
     "prox_array",
     "prox_distance",
     "prox_objective",
@@ -56,10 +56,8 @@ class ProxParams:
     C: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
-        if not (math.isfinite(self.C) and self.C > 0):
-            raise ValueError(f"C must be finite and positive, got {self.C}")
+        check_positive("gamma", self.gamma)
+        check_positive("C", self.C)
 
     @property
     def gammaC(self) -> float:
@@ -120,14 +118,6 @@ def prox_scalar(s: float, params: ProxParams) -> ProxSet:
     if params.gammaC < 2.0:
         return _prox_shift_regime(s, params)
     return _prox_threshold_regime(s, params)
-
-
-def prox_vector(s, params: ProxParams) -> list[ProxSet]:
-    """Componentwise prox of a vector; the sum objective separates."""
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {s.shape}")
-    return [prox_scalar(si, params) for si in s]
 
 
 def prox_array(s, params: ProxParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -32,6 +32,7 @@ from itertools import combinations
 
 import numpy as np
 
+from ._checks import check_positive
 from .certify import Certificate, PrimalDualPoint, Verdict, check_pstationary
 from .losses import objective
 from .problem import ProblemData, spd_solver
@@ -64,14 +65,11 @@ class SolverConfig:
     max_iter: int = 10000
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.C) and self.C > 0):
-            raise ValueError(f"C must be finite and positive, got {self.C}")
+        check_positive("C", self.C)
         if self.sigma is None:
             object.__setattr__(self, "sigma", self.C / 2.0)
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        check_positive("sigma", self.sigma)
+        check_positive("tol", self.tol)
         if isinstance(self.max_iter, bool) or not isinstance(
             self.max_iter, numbers.Integral
         ):
@@ -291,8 +289,7 @@ def global_oracle(
     n = problem.n
     if n > 2:
         raise ValueError(f"global oracle is limited to n <= 2, got n = {n}")
-    if not (math.isfinite(C) and C > 0):
-        raise ValueError(f"C must be finite and positive, got {C}")
+    check_positive("C", C)
     d = n + 1
     box = np.array(bounds, dtype=float)
     if box.shape == (2,):

@@ -5,25 +5,27 @@ only ones contributing to w = -A^T lambda.  For P-stationary points in the
 gamma*C >= 2 prox regime, every support vector must sit exactly on a margin
 hyperplane <w, x_i> + b = +-1 (equivalently u_i = 0), and its multiplier is
 confined to [-sqrt(2C/gamma), 0).  verify_support_margins checks the former;
-the multiplier range is an invariant exercised by the test suite.
+the multiplier range is an invariant exercised by the test suite.  Neither
+function knows how the point was certified; callers keep the verdict.
 
 Indices are 0-based positions into the dataset.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import PrimalDualPoint, Verdict
+from ._checks import check_positive
+from .certify import PrimalDualPoint
 from .problem import ProblemData
 
 __all__ = [
     "RegimeError",
     "SupportSet",
     "extract_support",
-    "reconstruct_w",
     "verify_support_margins",
 ]
 
@@ -38,15 +40,12 @@ class RegimeError(ValueError):
 class SupportSet:
     """Support vector indices with their multipliers and functional margins.
 
-    margins holds y_i * (<w, x_i> + b) per support index.  source_verdict
-    records how the originating point was certified, so margin-geometry
-    claims are never silently applied to KKT-only points.
+    margins holds y_i * (<w, x_i> + b) per support index.
     """
 
     indices: tuple[int, ...]
     lambdas: np.ndarray
     margins: np.ndarray
-    source_verdict: Verdict | None = None
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -56,7 +55,6 @@ def extract_support(
     point: PrimalDualPoint,
     problem: ProblemData,
     sv_tol: float = DEFAULT_SV_TOL,
-    source_verdict: Verdict | None = None,
 ) -> SupportSet:
     """Indices with |lambda_i| > sv_tol, plus multipliers and margins.
 
@@ -64,28 +62,15 @@ def extract_support(
     alternating solver produces exact zeros for samples resting in the
     prox fixed-point regions, so the default is tight.
     """
-    if sv_tol < 0:
-        raise ValueError("sv_tol must be nonnegative")
+    if not (math.isfinite(sv_tol) and sv_tol >= 0):
+        raise ValueError(f"sv_tol must be finite and nonnegative, got {sv_tol}")
     lam = point.lam
     idx = tuple(int(i) for i in np.flatnonzero(np.abs(lam) > sv_tol))
     X, y = problem.dataset.X, problem.dataset.y
     scores = X @ point.w + point.b
     margins = np.array([y[i] * scores[i] for i in idx])
     lambdas = np.array([lam[i] for i in idx])
-    return SupportSet(
-        indices=idx,
-        lambdas=lambdas,
-        margins=margins,
-        source_verdict=source_verdict,
-    )
-
-
-def reconstruct_w(lam, problem: ProblemData) -> np.ndarray:
-    """Rebuild the weight vector from the multipliers: w = -A^T lambda."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (problem.m,):
-        raise ValueError(f"lam has shape {lam.shape}, expected ({problem.m},)")
-    return -(problem.A.T @ lam)
+    return SupportSet(indices=idx, lambdas=lambdas, margins=margins)
 
 
 def verify_support_margins(
@@ -104,14 +89,13 @@ def verify_support_margins(
     deviation = max |u_i| over support indices (0 for an empty support set)
     and ok true when it is at most 10*tol.
     """
-    if gamma <= 0 or C <= 0:
-        raise ValueError("gamma and C must be positive")
+    check_positive("gamma", gamma)
+    check_positive("C", C)
     if gamma * C < 2.0:
         raise RegimeError(
             f"margin geometry requires gamma*C >= 2, got {gamma * C}"
         )
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_positive("tol", tol)
     sv = extract_support(point, problem, sv_tol)
     if len(sv) == 0:
         return True, 0.0

@@ -259,6 +259,10 @@ def test_kkt_and_recovery_reject_bad_C(C):
         check_kkt(point, prob, C)
     with pytest.raises(ValueError, match="C must be finite and positive"):
         recover_multiplier(point.w, point.b, prob, C)
+    # A NaN region_tol used to classify no sample and return lambda = 0.
+    for region_tol in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="region_tol must be finite"):
+            recover_multiplier(point.w, point.b, prob, 1.0, region_tol)
 
 
 def test_default_gamma_grid_contents():

@@ -221,6 +221,21 @@ def test_prox_eval_matches_library(capsys):
     assert entries[0]["values"] == [1.5, 0.5] and entries[0]["tie"] is True
     assert entries[1]["values"] == [0.0]
     assert entries[2]["values"] == [-2.0]
+    # Each entry is prox_scalar of its input, in both regimes and at ties.
+    s = [-0.7, 0.0, 0.5, 1.2, 1.5, 2.0, 3.5]
+    for gamma in (1.0, 2.0):
+        code, out = run_cli(
+            capsys,
+            "prox-eval", "--s=" + ",".join(map(str, s)),
+            "--gamma", str(gamma), "--C", "1.0",
+        )
+        assert code == 0
+        entries = json.loads(out)["result"]
+        assert [e["s"] for e in entries] == s
+        for s_i, entry in zip(s, entries):
+            expected = prox_scalar(s_i, ProxParams(gamma, 1.0))
+            assert entry["values"] == list(expected.values)
+            assert entry["tie"] is expected.tie
 
 
 def test_support_vectors_report(capsys, easy_csv):

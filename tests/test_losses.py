@@ -8,7 +8,6 @@ from rampsvm import (
     Dataset,
     objective,
     ramp_loss,
-    ramp_loss_sum,
 )
 
 finite_floats = st.floats(
@@ -51,11 +50,14 @@ def test_ramp_loss_rejects_nonfinite():
         ramp_loss(float("inf"))
 
 
-@given(st.lists(finite_floats, min_size=0, max_size=40))
+@given(st.lists(finite_floats, min_size=1, max_size=40))
 def test_ramp_loss_sum_is_sum_of_scalars(vals):
+    # With w = 1, b = 0 and x_i = 1 - u_i on positive labels, the margins
+    # are u_i, so the objective is 0.5 + sum_i ramp_loss(u_i) at C = 1.
     u = np.array(vals)
-    assert ramp_loss_sum(u) == pytest.approx(
-        sum(ramp_loss(v) for v in vals), abs=1e-9
+    ds = Dataset(X=(1.0 - u)[:, None], y=np.ones(u.size))
+    assert objective(np.ones(1), 0.0, ds, 1.0) == pytest.approx(
+        0.5 + sum(ramp_loss(v) for v in vals), abs=1e-9
     )
 
 
@@ -85,3 +87,7 @@ def test_objective_validates_inputs():
         objective(np.zeros(2), 0.0, ds, 0.0)
     with pytest.raises(ValueError):
         objective(np.zeros(2), 0.0, ds, -1.0)
+    # NaN and infinite C used to slip through a bare C <= 0 check.
+    for C in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="C must be finite and positive"):
+            objective(np.zeros(2), 0.0, ds, C)

@@ -1,4 +1,4 @@
-"""Problem assembly: A, B, the generalized inverse, lambda_H, solvers."""
+"""Problem assembly: A, B, the spectral bound lambda_h, solvers."""
 
 import tracemalloc
 
@@ -11,7 +11,6 @@ from rampsvm import (
     build_problem,
     counterexample_dataset,
     gen_synthetic,
-    lambda_H,
     spd_solver,
 )
 
@@ -36,29 +35,24 @@ def test_assembly_shapes_and_rows():
         assert prob.B[i, 2] == y[i]
 
 
-def test_generalized_inverse_properties():
-    rng = np.random.default_rng(1)
-    for m in (3, 5, 8):
-        prob = _random_full_rank(rng, m, 2)
-        eye = prob.Bdag @ prob.B
-        assert np.allclose(eye, np.eye(3), atol=1e-10)
-        assert np.allclose(prob.B @ prob.Bdag @ prob.B, prob.B, atol=1e-9)
-        # H is the generalized inverse with the bias row removed.
-        assert np.allclose(prob.H[:2], prob.Bdag[:2])
-        assert np.all(prob.H[2] == 0.0)
+def _dense_lambda_h(prob):
+    """Largest eigenvalue of the m x m matrix H^T H, with H the SVD
+    pseudo-inverse of B with its bias row zeroed."""
+    H = np.linalg.pinv(prob.B)
+    H[-1, :] = 0.0
+    return float(np.linalg.eigvalsh(H.T @ H)[-1])
 
 
 def test_lambda_h_against_dense_eigensolver():
     rng = np.random.default_rng(2)
     for m in (3, 4, 6, 9, 2000):
         prob = _random_full_rank(rng, m, 2)
-        dense = float(np.linalg.eigvalsh(prob.H.T @ prob.H)[-1])
-        assert lambda_H(prob) == pytest.approx(dense, rel=1e-12)
+        assert prob.lambda_h == pytest.approx(_dense_lambda_h(prob), rel=1e-12)
 
 
 def test_build_problem_memory_scales_with_m_n():
     # m = 8000, n = 2: an m x m intermediate alone would take 488 MiB,
-    # while A, B, Bdag and H together take under 1 MiB.
+    # while A and B together take under 1 MiB.
     ds = gen_synthetic(4000, 4.0, 0.1, 0)
     tracemalloc.start()
     try:
@@ -72,9 +66,8 @@ def test_build_problem_memory_scales_with_m_n():
 
 def test_lambda_h_counterexample_value():
     prob = build_problem(counterexample_dataset())
-    dense = float(np.linalg.eigvalsh(prob.H.T @ prob.H)[-1])
-    assert lambda_H(prob) == pytest.approx(dense, rel=1e-10)
-    assert lambda_H(prob) == pytest.approx(0.25, abs=1e-6)
+    assert prob.lambda_h == pytest.approx(_dense_lambda_h(prob), rel=1e-10)
+    assert prob.lambda_h == pytest.approx(0.25, abs=1e-6)
 
 
 def test_rank_deficient_paths():
@@ -83,9 +76,7 @@ def test_rank_deficient_paths():
         Dataset(X=np.array([[1.0, 2.0]]), y=np.array([1.0]))
     )
     assert not short.full_column_rank
-    assert short.Bdag is None and short.H is None
-    with pytest.raises(ValueError):
-        lambda_H(short)
+    assert short.lambda_h is None
     # Duplicated sample rows collapse the rank as well.
     X = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
     y = np.array([1.0, 1.0, 1.0])

@@ -14,7 +14,6 @@ from rampsvm import (
     prox_objective,
     prox_oracle,
     prox_scalar,
-    prox_vector,
 )
 
 # (s, gammaC) -> expected values, worked out by hand from the two closed
@@ -123,15 +122,6 @@ def test_prox_oracle_matches_dense_scan(s, gc):
     v = np.concatenate(([s, s - gc, 0.0], grid))
     obj = np.clip(v, 0.0, 1.0) + (v - s) ** 2 / (2.0 * gc)
     assert prox_oracle(s, params) == v[int(np.argmin(obj))]
-
-
-def test_prox_vector_componentwise():
-    params = ProxParams(gamma=1.0, C=1.0)
-    s = np.array([-0.7, 0.5, 1.2, 1.5, 2.0])
-    outs = prox_vector(s, params)
-    assert len(outs) == s.size
-    for s_i, out in zip(s, outs):
-        assert out == prox_scalar(float(s_i), params)
 
 
 # (gamma, C) pairs covering the shift regime, gamma*C exactly 2.0 (also as

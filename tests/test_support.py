@@ -7,12 +7,10 @@ from rampsvm import (
     COUNTEREXAMPLE_C,
     PrimalDualPoint,
     RegimeError,
-    Verdict,
     build_problem,
     counterexample_dataset,
     counterexample_point,
     extract_support,
-    reconstruct_w,
     symmetric_pair_dataset,
     symmetric_pair_point,
     verify_support_margins,
@@ -22,13 +20,12 @@ from rampsvm import (
 def test_extract_support_pair():
     prob = build_problem(symmetric_pair_dataset())
     point = symmetric_pair_point()
-    sv = extract_support(point, prob, source_verdict=Verdict.P_STATIONARY)
+    sv = extract_support(point, prob)
     assert sv.indices == (0, 1)
     assert len(sv) == 2
     assert np.allclose(sv.lambdas, [-0.5, -0.5])
     # Both samples sit exactly on their margin hyperplane.
     assert np.allclose(sv.margins, [1.0, 1.0])
-    assert sv.source_verdict is Verdict.P_STATIONARY
 
 
 def test_extract_support_tolerance_cutoff():
@@ -38,17 +35,20 @@ def test_extract_support_tolerance_cutoff():
     assert 0 < len(sv) <= 3
     none = extract_support(point, prob, sv_tol=10.0)
     assert none.indices == () and len(none) == 0
+    # A NaN cutoff used to return an empty support set.
+    for sv_tol in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="sv_tol must be finite"):
+            extract_support(point, prob, sv_tol=sv_tol)
 
 
 def test_reconstruct_w_roundtrip():
+    # Only the support vectors contribute to w = -A^T lambda.
     prob = build_problem(symmetric_pair_dataset())
     point = symmetric_pair_point()
-    assert np.allclose(reconstruct_w(point.lam, prob), point.w, atol=1e-12)
+    assert np.allclose(-prob.A.T @ point.lam, point.w, atol=1e-12)
     prob2 = build_problem(counterexample_dataset())
     point2 = counterexample_point()
-    assert np.allclose(reconstruct_w(point2.lam, prob2), point2.w, atol=1e-12)
-    with pytest.raises(ValueError):
-        reconstruct_w(np.zeros(5), prob)
+    assert np.allclose(-prob2.A.T @ point2.lam, point2.w, atol=1e-12)
 
 
 def test_verify_support_margins_pair():
@@ -64,6 +64,24 @@ def test_verify_support_margins_wrong_regime():
     point = symmetric_pair_point()
     with pytest.raises(RegimeError):
         verify_support_margins(point, prob, C=1.0, gamma=1.0)
+
+
+@pytest.mark.parametrize(
+    "C, gamma, tol, name",
+    [
+        (np.nan, 2.0, 1e-6, "C"),
+        (1.0, np.nan, 1e-6, "gamma"),
+        (1.0, np.inf, 1e-6, "gamma"),
+        (1.0, 2.0, np.inf, "tol"),
+        (1.0, 2.0, np.nan, "tol"),
+    ],
+)
+def test_verify_support_margins_rejects_non_finite(C, gamma, tol, name):
+    # Each of these used to return (True, 0.0) on the symmetric pair.
+    prob = build_problem(symmetric_pair_dataset())
+    point = symmetric_pair_point()
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        verify_support_margins(point, prob, C, gamma, tol)
 
 
 def test_verify_support_margins_accepts_kkt_fixture():
