@@ -21,6 +21,8 @@ s themselves before calling.
 prox_scalar and ProxSet are the set-valued reference.  prox_array evaluates
 the same closed form elementwise with the same floats, and prox_distance
 builds ProxSet.distance on it; the trainer and the certificate use these.
+The trainer's prox step calls _prox_primary, the primary branch on which
+prox_array is built, without prox_array's second finiteness check.
 """
 
 from __future__ import annotations
@@ -120,6 +122,19 @@ def prox_scalar(s: float, params: ProxParams) -> ProxSet:
     return _prox_threshold_regime(s, params)
 
 
+def _prox_primary(s: np.ndarray, params: ProxParams) -> np.ndarray:
+    """prox_array's primary value for a float array s already known to be
+    finite; the trainer's hot path calls it without the input check."""
+    gc = params.gammaC
+    if gc < 2.0:
+        thr = 1.0 + gc / 2.0
+        below = np.where(s >= gc, s - gc, np.where(s > 0.0, 0.0, s))
+    else:
+        thr = math.sqrt(2.0 * gc)
+        below = np.where(s > 0.0, 0.0, s)
+    return np.where(s >= thr, s, below)
+
+
 def prox_array(s, params: ProxParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Elementwise closed form of prox_scalar on an array.
 
@@ -128,7 +143,8 @@ def prox_array(s, params: ProxParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     primary[i] off the tie), and tie[i] is .tie, all bit for bit.  Below
     the tie threshold both regimes shift or zero s exactly as the scalar
     branches do; at the threshold the primary value keeps s and the
-    alternative takes the branch below it.
+    alternative takes the branch below it: s - gamma*C in the shift
+    regime, 0 in the threshold regime.
     """
     s = np.asarray(s, dtype=float)
     if not np.isfinite(s).all():
@@ -136,13 +152,13 @@ def prox_array(s, params: ProxParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     gc = params.gammaC
     if gc < 2.0:
         thr = 1.0 + gc / 2.0
-        below = np.where(s >= gc, s - gc, np.where(s > 0.0, 0.0, s))
+        below_thr = thr - gc
     else:
         thr = math.sqrt(2.0 * gc)
-        below = np.where(s > 0.0, 0.0, s)
-    primary = np.where(s >= thr, s, below)
-    alternative = np.where(s > thr, s, below)
-    return primary, alternative, s == thr
+        below_thr = 0.0
+    primary = _prox_primary(s, params)
+    tie = s == thr
+    return primary, np.where(tie, below_thr, primary), tie
 
 
 def prox_distance(u, s, params: ProxParams) -> np.ndarray:

@@ -13,7 +13,10 @@ The problem is nonconvex, so no convergence guarantee is claimed.  Instead
 every iterate is screened with the P-stationarity residuals, computed from
 the arrays the iteration already holds, and the solver only reports
 CONVERGED when check_pstationary confirms that they drop below tol;
-MAX_ITER / DIVERGED are first-class outcomes.
+MAX_ITER / DIVERGED are first-class outcomes.  The state (B z, lambda)
+fixes every later iteration, so a run whose state repeats bit for bit
+(Brent's cycle detection) stops there with the MAX_ITER result its full
+budget would give.
 
 The global oracle is exact over a (w, b) box for n <= 2: it enumerates the
 O(C(2m + 2d, d)) vertices of the arrangement of kink planes and box facets,
@@ -38,7 +41,7 @@ from .losses import objective
 from .problem import ProblemData, spd_solver
 # prox_scalar is not called here; it stays a module attribute because
 # bench/tracing.py counts prox_scalar calls by wrapping it in this module.
-from .prox import ProxParams, prox_array, prox_distance, prox_scalar  # noqa: F401
+from .prox import ProxParams, _prox_primary, prox_distance, prox_scalar  # noqa: F401
 
 __all__ = [
     "SolverConfig",
@@ -111,7 +114,13 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
     prox step 1/sigma.  MAX_ITER results carry the iterate with the
     smallest screened max residual (the earliest on ties), certified once
     by check_pstationary, with its iteration in
-    diagnostics["best_iteration"].  A failed SPD factorization or a
+    diagnostics["best_iteration"].  The screen stops at the first residual
+    that already rules an iterate out, r_feas first.  A run whose state
+    (B z, lambda) repeats byte for byte only replays iterates it has
+    screened, so it stops at the first repeat that Brent's cycle detection
+    sees and returns what the full budget would: the same MAX_ITER result,
+    iterations = max_iter, plus the minimal period of the cycle in
+    diagnostics["cycle_period"].  A failed SPD factorization or a
     non-finite iterate yields DIVERGED with the trigger recorded in
     diagnostics.
     """
@@ -154,35 +163,51 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
     Bz = np.zeros(m)  # B @ (w; b) of the current iterate
     lam = np.zeros(m)
     best_worst, best = math.inf, None  # best iterate: (iteration, z, u, lam)
+    # The state (B z, lam) fixes every later iteration.  Brent's cycle
+    # detection keeps the bytes of one earlier state, saved at iterations
+    # 1, 2, 4, 8, ..., and stops at the first state equal to it.
+    saved_it, saved_lam, saved_Bz = 0, None, None
+    cycle = {}
     for it in range(1, config.max_iter + 1):
         lam_s = lam / sigma
         s = 1.0 - Bz - lam_s
         if not np.isfinite(s).all():
             return diverged(f"non-finite iterate at iteration {it}", it)
-        u = prox_array(s, params)[0]
+        u = _prox_primary(s, params)
         z = K @ (u - 1.0 + lam_s)
         Bz = B @ z
         feas = u + Bz - 1.0
         lam = lam + sigma * feas
         if not (np.isfinite(z).all() and np.isfinite(lam).all()):
             return diverged(f"non-finite iterate at iteration {it}", it)
-        # The residuals of check_pstationary: g = B^T lam + (w; 0) holds
-        # r_grad in its first n entries and r_y in its last, and feas gives
-        # r_feas.  r_prox is needed only if the iterate can still pass tol
-        # or beat the best one.
-        g = B.T @ lam
-        g[:n] += z[:n]
-        worst = max(float(np.abs(g).max()), float(np.abs(feas).max()))
+        # The residuals of check_pstationary, each computed only while the
+        # iterate can still pass tol or beat the best one: r_feas from
+        # feas, then r_grad and r_y from g = B^T lam + (w; 0), whose first
+        # n entries and last entry hold them, then r_prox.
+        worst = float(np.abs(feas).max())
         if worst <= tol or worst < best_worst:
-            r_prox = prox_distance(u, u - gamma * lam, params).max()
-            worst = max(worst, float(r_prox))
-        if worst <= tol:
-            point = PrimalDualPoint(w=z[:n], b=z[n], u=u, lam=lam)
-            cert = check_pstationary(point, problem, C, gamma, tol)
-            if cert.verdict is Verdict.P_STATIONARY:
-                return result(SolveStatus.CONVERGED, point, cert, it, {})
-        if worst < best_worst:
-            best_worst, best = worst, (it, z, u, lam)
+            g = B.T @ lam
+            g[:n] += z[:n]
+            worst = max(float(np.abs(g).max()), worst)
+            if worst <= tol or worst < best_worst:
+                r_prox = prox_distance(u, u - gamma * lam, params).max()
+                worst = max(worst, float(r_prox))
+            if worst <= tol:
+                point = PrimalDualPoint(w=z[:n], b=z[n], u=u, lam=lam)
+                cert = check_pstationary(point, problem, C, gamma, tol)
+                if cert.verdict is Verdict.P_STATIONARY:
+                    return result(SolveStatus.CONVERGED, point, cert, it, {})
+            if worst < best_worst:
+                best_worst, best = worst, (it, z, u, lam)
+        # A repeated state replays iterations already screened: none of them
+        # can converge, and under the strict < none replaces the best
+        # iterate, so the run ends as the full budget would.
+        lam_bytes = lam.tobytes()
+        if lam_bytes == saved_lam and Bz.tobytes() == saved_Bz:
+            cycle = {"cycle_period": it - saved_it}
+            break
+        if it & (it - 1) == 0:
+            saved_it, saved_lam, saved_Bz = it, lam_bytes, Bz.tobytes()
     best_it, z, u, lam = best
     point = PrimalDualPoint(w=z[:n], b=z[n], u=u, lam=lam)
     cert = check_pstationary(point, problem, C, gamma, tol)
@@ -191,7 +216,7 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
         point,
         cert,
         config.max_iter,
-        {"max_residual": cert.max_residual, "best_iteration": best_it},
+        {"max_residual": cert.max_residual, "best_iteration": best_it, **cycle},
     )
 
 

@@ -64,13 +64,14 @@ def extract_support(
     """
     if not (math.isfinite(sv_tol) and sv_tol >= 0):
         raise ValueError(f"sv_tol must be finite and nonnegative, got {sv_tol}")
-    lam = point.lam
-    idx = tuple(int(i) for i in np.flatnonzero(np.abs(lam) > sv_tol))
+    idx = np.flatnonzero(np.abs(point.lam) > sv_tol)
     X, y = problem.dataset.X, problem.dataset.y
     scores = X @ point.w + point.b
-    margins = np.array([y[i] * scores[i] for i in idx])
-    lambdas = np.array([lam[i] for i in idx])
-    return SupportSet(indices=idx, lambdas=lambdas, margins=margins)
+    return SupportSet(
+        indices=tuple(idx.tolist()),
+        lambdas=point.lam[idx],
+        margins=y[idx] * scores[idx],
+    )
 
 
 def verify_support_margins(
@@ -99,5 +100,5 @@ def verify_support_margins(
     sv = extract_support(point, problem, sv_tol)
     if len(sv) == 0:
         return True, 0.0
-    deviation = float(np.max(np.abs(point.u[list(sv.indices)])))
+    deviation = float(np.max(np.abs(np.take(point.u, sv.indices))))
     return deviation <= 10.0 * tol, deviation

@@ -15,6 +15,7 @@ from rampsvm import (
     prox_oracle,
     prox_scalar,
 )
+from rampsvm.prox import _prox_primary
 
 # (s, gammaC) -> expected values, worked out by hand from the two closed
 # forms.  Shift regime (gammaC < 2): stay above 1 + gammaC/2, shift down by
@@ -201,6 +202,24 @@ def _array_prox_cases(draw):
 def test_prox_array_matches_scalar(case):
     s, u, params = case
     _assert_matches_scalar(s, u, params)
+
+
+@pytest.mark.parametrize("gamma, C", ARRAY_PARAMS)
+def test_prox_primary_matches_prox_array(gamma, C):
+    # The trainer's unchecked primary branch gives prox_array's primary
+    # value, and the scalar reference's first value, bit for bit: at the
+    # signed zeros, gamma*C, the tie threshold and the floats on either
+    # side of it, and on random arrays.
+    params = ProxParams(gamma, C)
+    gc = params.gammaC
+    thr = 1.0 + gc / 2.0 if gc < 2.0 else math.sqrt(2.0 * gc)
+    s = [-0.0, 0.0, gc] + [_step_ulps(thr, k) for k in (-1, 0, 1)]
+    rng = np.random.default_rng(7)
+    for arr in [np.array(s)] + [rng.uniform(-2.0, 2.0 * thr, 40) for _ in range(20)]:
+        got = _prox_primary(arr, params)
+        assert got.tobytes() == prox_array(arr, params)[0].tobytes(), arr
+        for g_i, s_i in zip(got, arr):
+            assert _bits(g_i) == _bits(prox_scalar(s_i, params).values[0]), s_i
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

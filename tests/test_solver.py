@@ -20,8 +20,12 @@ from rampsvm import (
     global_oracle,
     objective,
     predict,
+    prox_array,
+    prox_distance,
+    ProxParams,
     recover_multiplier,
     single_point_dataset,
+    spd_solver,
     symmetric_pair_dataset,
     train_admm,
 )
@@ -104,6 +108,110 @@ def test_train_max_iter_returns_best_iterate():
         for k in range(1, 61)
     ]
     assert best == sorted(best, reverse=True) and best[-1] == best[1]
+
+
+def _full_budget_admm(prob, cfg, states=None):
+    """train_admm without the cycle stop: every iteration of the budget runs.
+
+    Returns (status, iterations, point, certificate, best_iteration), the
+    best iteration being None on convergence.  A states list gets the bytes
+    of (B z, lambda) after each iteration."""
+    B, m, n = prob.B, prob.m, prob.n
+    sigma, C, gamma, tol = cfg.sigma, cfg.C, cfg.gamma, cfg.tol
+    params = ProxParams(gamma, C)
+    M = sigma * (B.T @ B)
+    M[np.arange(n), np.arange(n)] += 1.0
+    K = -sigma * spd_solver(M)(B.T)
+    Bz, lam = np.zeros(m), np.zeros(m)
+    best_worst, best = math.inf, None
+    for it in range(1, cfg.max_iter + 1):
+        lam_s = lam / sigma
+        s = 1.0 - Bz - lam_s
+        assert np.isfinite(s).all()
+        u = prox_array(s, params)[0]
+        z = K @ (u - 1.0 + lam_s)
+        Bz = B @ z
+        feas = u + Bz - 1.0
+        lam = lam + sigma * feas
+        assert np.isfinite(z).all() and np.isfinite(lam).all()
+        if states is not None:
+            states.append(Bz.tobytes() + lam.tobytes())
+        g = B.T @ lam
+        g[:n] += z[:n]
+        worst = max(float(np.abs(g).max()), float(np.abs(feas).max()))
+        if worst <= tol or worst < best_worst:
+            r_prox = prox_distance(u, u - gamma * lam, params).max()
+            worst = max(worst, float(r_prox))
+        if worst <= tol:
+            point = PrimalDualPoint(w=z[:n], b=z[n], u=u, lam=lam)
+            cert = check_pstationary(point, prob, C, gamma, tol)
+            if cert.verdict is Verdict.P_STATIONARY:
+                return SolveStatus.CONVERGED, it, point, cert, None
+        if worst < best_worst:
+            best_worst, best = worst, (it, z, u, lam)
+    best_it, z, u, lam = best
+    point = PrimalDualPoint(w=z[:n], b=z[n], u=u, lam=lam)
+    cert = check_pstationary(point, prob, C, gamma, tol)
+    return SolveStatus.MAX_ITER, cfg.max_iter, point, cert, best_it
+
+
+def _parity_cases():
+    """(data seed, noise, sigma, max_iter): the acceptance batch at
+    sigma = C/2 and sigma = C, then two cycling runs at several budgets."""
+    for seed in range(20):
+        for sigma in (0.5, 1.0):
+            yield seed, 0.1 if seed % 2 else 0.0, sigma, 10000
+    for noise in (0.0, 0.1):
+        for max_iter in (1, 60, 600, 10000):
+            yield 0, noise, 0.5, max_iter
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def test_cycle_stop_matches_full_budget():
+    # Stopping at an exact repeat of (B z, lambda) must return what the
+    # full budget returns, bit for bit; only cycle_period is new.
+    stopped = 0
+    for case in _parity_cases():
+        seed, noise, sigma, max_iter = case
+        prob = build_problem(gen_synthetic(8, 4.0, noise, seed))
+        cfg = SolverConfig(C=1.0, sigma=sigma, tol=1e-8, max_iter=max_iter)
+        res = train_admm(prob, cfg)
+        status, iters, point, cert, best_it = _full_budget_admm(prob, cfg)
+        assert (res.status, res.iterations) == (status, iters), case
+        for name in ("w", "b", "u", "lam"):
+            got, want = getattr(res.point, name), getattr(point, name)
+            assert _bits(got) == _bits(want), (case, name)
+        assert res.certificate == cert, case
+        assert _bits(res.objective) == _bits(
+            objective(point.w, point.b, prob.dataset, 1.0)
+        ), case
+        assert res.diagnostics.get("best_iteration") == best_it, case
+        if "cycle_period" in res.diagnostics:
+            assert status is SolveStatus.MAX_ITER, case
+            stopped += 1
+    # The stopping path is covered, not only runs that never repeat.
+    assert stopped >= 10
+
+
+def test_cycle_period_recorded():
+    # This run first returns to its iteration-512 state at iteration 920;
+    # a budget that ends earlier records no period.
+    prob = build_problem(gen_synthetic(8, 4.0, 0.0, 0))
+    for max_iter, period in ((600, None), (919, None), (920, 408), (10000, 408)):
+        res = train_admm(prob, SolverConfig(C=1.0, tol=1e-8, max_iter=max_iter))
+        assert res.status is SolveStatus.MAX_ITER and res.iterations == max_iter
+        assert res.diagnostics.get("cycle_period") == period, max_iter
+    # The full-budget states agree: 408 is the least period, and no state
+    # saved at an earlier power of two comes back within its window.
+    states = []
+    _full_budget_admm(prob, SolverConfig(C=1.0, tol=1e-8, max_iter=920), states)
+    state = states[511]
+    assert states[919] == state and state not in states[512:919]
+    for saved in (1, 2, 4, 8, 16, 32, 64, 128, 256):
+        assert states[saved - 1] not in states[saved : 2 * saved]
 
 
 def test_train_diverged_status():

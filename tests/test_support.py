@@ -11,6 +11,7 @@ from rampsvm import (
     counterexample_dataset,
     counterexample_point,
     extract_support,
+    gen_synthetic,
     symmetric_pair_dataset,
     symmetric_pair_point,
     verify_support_margins,
@@ -39,6 +40,26 @@ def test_extract_support_tolerance_cutoff():
     for sv_tol in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="sv_tol must be finite"):
             extract_support(point, prob, sv_tol=sv_tol)
+
+
+def test_extract_support_matches_per_index_rule():
+    # The gathers give the floats of the per-sample formulas: margin
+    # y_i * (<w, x_i> + b) from the full score vector, and lambda_i.
+    prob = build_problem(gen_synthetic(10, 3.0, 0.1, 4))
+    rng = np.random.default_rng(3)
+    for sv_tol in (0.0, 0.3, 10.0):
+        lam = np.where(rng.random(prob.m) < 0.5, 0.0, rng.uniform(-1.0, 0.0, prob.m))
+        point = PrimalDualPoint(
+            w=rng.standard_normal(prob.n), b=0.7, u=np.zeros(prob.m), lam=lam
+        )
+        sv = extract_support(point, prob, sv_tol)
+        idx = [i for i in range(prob.m) if abs(lam[i]) > sv_tol]
+        scores = prob.dataset.X @ point.w + point.b
+        assert sv.indices == tuple(idx) and all(type(i) is int for i in sv.indices)
+        want = np.array([prob.dataset.y[i] * scores[i] for i in idx])
+        assert sv.margins.tobytes() == want.tobytes()
+        assert sv.margins.shape == want.shape == (len(idx),)
+        assert sv.lambdas.tobytes() == np.array([lam[i] for i in idx]).tobytes()
 
 
 def test_reconstruct_w_roundtrip():
