@@ -14,9 +14,9 @@ every iterate is screened with the P-stationarity residuals, computed from
 the arrays the iteration already holds, and the solver only reports
 CONVERGED when check_pstationary confirms that they drop below tol;
 MAX_ITER / DIVERGED are first-class outcomes.  The state (B z, lambda)
-fixes every later iteration, so a run whose state repeats bit for bit
-(Brent's cycle detection) stops there with the MAX_ITER result its full
-budget would give.
+fixes every later iteration, so a run stops at the first bit-for-bit
+repeat of it that Brent's cycle detection sees, with the MAX_ITER result
+its full budget would give.
 
 The global oracle is exact over a (w, b) box for n <= 2: it enumerates the
 O(C(2m + 2d, d)) vertices of the arrangement of kink planes and box facets,

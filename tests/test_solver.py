@@ -10,6 +10,7 @@ from rampsvm import (
     COUNTEREXAMPLE_C,
     Dataset,
     PrimalDualPoint,
+    ProxParams,
     SolveStatus,
     SolverConfig,
     Verdict,
@@ -22,7 +23,6 @@ from rampsvm import (
     predict,
     prox_array,
     prox_distance,
-    ProxParams,
     recover_multiplier,
     single_point_dataset,
     spd_solver,
