@@ -5,6 +5,12 @@ gen-data.  Every command prints a JSON report to stdout; reports contain no
 timestamps and use sorted keys, so identical inputs and seeds produce
 byte-identical output.
 
+Reports are the text of ``json.dumps(report, indent=2, sort_keys=True)``,
+written by ``_dumps``.  With an indent, CPython's json module encodes in
+pure Python, one call per list item; ``_dumps`` instead hands every list
+of floats (the m-long ``u`` and ``lambda`` of a train report) and every
+scalar and key to the C encoder and indents the list text itself.
+
 Exit codes: 0 success; 2 input or parse error; 3 numerical failure
 (diverged solve or factorization failure); 4 when ``--expect p-stationary``
 was passed and the final verdict is anything else.
@@ -60,7 +66,38 @@ COUNTEREXAMPLE_GAMMAS = (0.4, 4.0, 8.0, 16.0)
 
 
 def _floats(arr) -> list[float]:
-    return [float(v) for v in np.asarray(arr).ravel()]
+    return np.asarray(arr, dtype=float).ravel().tolist()
+
+
+def _dumps(obj, level: int = 0) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), character for character.
+
+    Dict keys must be str, as in every report.  A list of floats is encoded
+    in one C-encoder call, whose ", " separators become "," plus a newline
+    and the item indent; a float's repr holds no ", ".
+    """
+    indent = "\n" + "  " * (level + 1)
+    close = "\n" + "  " * level
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, got {key!r}")
+        body = ("," + indent).join(
+            f"{json.dumps(key)}: {_dumps(value, level + 1)}"
+            for key, value in sorted(obj.items())
+        )
+        return "{" + indent + body + close + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(isinstance(v, float) for v in obj):
+            body = json.dumps(obj)[1:-1].replace(", ", "," + indent)
+        else:
+            body = ("," + indent).join(_dumps(v, level + 1) for v in obj)
+        return "[" + indent + body + close + "]"
+    return json.dumps(obj)
 
 
 def _cert_dict(cert: Certificate) -> dict:
@@ -135,7 +172,7 @@ def _emit(args, digest: str, report: dict, seed=None, out=None) -> None:
             "python": platform.python_version(),
         },
     )
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = _dumps(report) + "\n"
     sys.stdout.write(text)
     if out is not None:
         Path(out).write_text(text)

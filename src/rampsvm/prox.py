@@ -22,7 +22,9 @@ prox_scalar and ProxSet are the set-valued reference.  prox_array evaluates
 the same closed form elementwise with the same floats, and prox_distance
 builds ProxSet.distance on it; the trainer and the certificate use these.
 The trainer's prox step calls _prox_primary, the primary branch on which
-prox_array is built, without prox_array's second finiteness check.
+prox_array is built, without prox_array's second finiteness check, and its
+r_prox calls _max_prox_distance, which builds the alternative branch only
+when some input sits on the tie threshold.
 """
 
 from __future__ import annotations
@@ -122,17 +124,20 @@ def prox_scalar(s: float, params: ProxParams) -> ProxSet:
     return _prox_threshold_regime(s, params)
 
 
+def _tie_threshold(gc: float) -> float:
+    """The input s at which the prox has two members, for gamma*C = gc."""
+    return 1.0 + gc / 2.0 if gc < 2.0 else math.sqrt(2.0 * gc)
+
+
 def _prox_primary(s: np.ndarray, params: ProxParams) -> np.ndarray:
     """prox_array's primary value for a float array s already known to be
     finite; the trainer's hot path calls it without the input check."""
     gc = params.gammaC
     if gc < 2.0:
-        thr = 1.0 + gc / 2.0
         below = np.where(s >= gc, s - gc, np.where(s > 0.0, 0.0, s))
     else:
-        thr = math.sqrt(2.0 * gc)
         below = np.where(s > 0.0, 0.0, s)
-    return np.where(s >= thr, s, below)
+    return np.where(s >= _tie_threshold(gc), s, below)
 
 
 def prox_array(s, params: ProxParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,12 +155,8 @@ def prox_array(s, params: ProxParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     if not np.isfinite(s).all():
         raise ValueError("prox needs finite arguments")
     gc = params.gammaC
-    if gc < 2.0:
-        thr = 1.0 + gc / 2.0
-        below_thr = thr - gc
-    else:
-        thr = math.sqrt(2.0 * gc)
-        below_thr = 0.0
+    thr = _tie_threshold(gc)
+    below_thr = thr - gc if gc < 2.0 else 0.0
     primary = _prox_primary(s, params)
     tie = s == thr
     return primary, np.where(tie, below_thr, primary), tie
@@ -167,6 +168,20 @@ def prox_distance(u, s, params: ProxParams) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     primary, alternative, _ = prox_array(s, params)
     return np.minimum(np.abs(u - primary), np.abs(u - alternative))
+
+
+def _max_prox_distance(u: np.ndarray, s: np.ndarray, params: ProxParams):
+    """prox_distance(u, s, params).max() bit for bit, for float arrays.
+
+    Off the tie threshold the prox is single-valued, so the distance is
+    |u - primary|.  A tie in s, or a non-finite result, which every
+    non-finite s gives, takes prox_distance itself, so a non-finite s
+    raises its ValueError.
+    """
+    r = np.abs(u - _prox_primary(s, params)).max()
+    if math.isfinite(r) and not (s == _tie_threshold(params.gammaC)).any():
+        return r
+    return prox_distance(u, s, params).max()
 
 
 def prox_objective(v: float, s: float, params: ProxParams) -> float:

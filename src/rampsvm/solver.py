@@ -41,7 +41,7 @@ from .losses import objective
 from .problem import ProblemData, spd_solver
 # prox_scalar is not called here; it stays a module attribute because
 # bench/tracing.py counts prox_scalar calls by wrapping it in this module.
-from .prox import ProxParams, _prox_primary, prox_distance, prox_scalar  # noqa: F401
+from .prox import ProxParams, _max_prox_distance, _prox_primary, prox_scalar  # noqa: F401
 
 __all__ = [
     "SolverConfig",
@@ -190,7 +190,7 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
             g[:n] += z[:n]
             worst = max(float(np.abs(g).max()), worst)
             if worst <= tol or worst < best_worst:
-                r_prox = prox_distance(u, u - gamma * lam, params).max()
+                r_prox = _max_prox_distance(u, u - gamma * lam, params)
                 worst = max(worst, float(r_prox))
             if worst <= tol:
                 point = PrimalDualPoint(w=z[:n], b=z[n], u=u, lam=lam)

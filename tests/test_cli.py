@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import pkgutil
 import shutil
@@ -21,7 +22,7 @@ from rampsvm import (
     prox_scalar,
     write_csv,
 )
-from rampsvm.cli import main
+from rampsvm.cli import _dumps, main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 GEN_DATA_ARGS = (
@@ -33,6 +34,9 @@ def run_cli(capsys, *argv):
     capsys.readouterr()  # drop output buffered by fixtures
     code = main(list(argv))
     out = capsys.readouterr().out
+    if out:
+        # Every report is the text json.dumps would write for it.
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
     return code, out
 
 
@@ -290,6 +294,39 @@ def test_gen_data_digest_and_determinism(capsys, tmp_path):
         "--seed", "5", "--out", str(out_b),
     )
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        (),
+        {"a": {}, "b": [], "c": [[]], "d": [{}]},
+        {"z": 1, "a": {"y": [1.0, -0.0, 2.5e-300], "x": {"w": [[1.0], [2.0, 3.0]]}}},
+        [math.nan, math.inf, -math.inf, 0.1],
+        {"nan": math.nan, "inf": math.inf, "ninf": -math.inf},
+        [np.float64(1.5), 2.0, np.float64(-0.0), np.float64(1e16)],
+        {"u": [np.float64(0.1)] * 3, "n": np.float64(7.25)},
+        (1.0, 2.0),
+        {"t": (1, "a", None), "f": (0.5,), "b": [True, False, 1.0]},
+        [True, False, None, 0, -3, 1.0, "x, y", [0.1, 0.2]],
+        {"\u00e9t\u00e9": "caf\u00e9 \u65e5\u672c \u2028", "s": ["a, b", "\u00e9"]},
+        [1, 2, 3],
+        "plain",
+        None,
+        True,
+        math.nan,
+        3,
+    ],
+)
+def test_dumps_matches_json(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_dumps_rejects_non_str_keys():
+    with pytest.raises(TypeError):
+        _dumps({1: 2.0})
 
 
 def test_missing_file_exit_code(capsys, tmp_path):

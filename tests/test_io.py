@@ -13,6 +13,7 @@ from rampsvm import (
     parse_dataset,
     write_csv,
 )
+from rampsvm import datasets
 
 
 def test_csv_round_trip_exact(tmp_path):
@@ -55,6 +56,112 @@ def test_csv_errors(tmp_path, text, fragment):
     with pytest.raises(DataFormatError) as err:
         parse_dataset(path)
     assert fragment in str(err.value)
+
+
+# Malformed CSV text and the full DataFormatError message it raises.  The
+# block parse rejects each of these and the per-line loop reports the first
+# bad line.
+CSV_ERROR_MESSAGES = [
+    ("2,1.0\n", "line 1: label must be +1 or -1, got '2'"),
+    ("0,1.0\n", "line 1: label must be +1 or -1, got '0'"),
+    ("x,1.0\n", "line 1: bad label 'x'"),
+    ("nan,1.0\n", "line 1: label must be +1 or -1, got 'nan'"),
+    ("+1,nan\n", "line 1: non-finite value 'nan'"),
+    ("+1,inf\n", "line 1: non-finite value 'inf'"),
+    ("-1,1.0,-inf\n", "line 1: non-finite value '-inf'"),
+    ("+1,1.0\n-1,1.0,2.0\n", "line 2: expected 1 features, got 2"),
+    ("+1,1.0\n# note\n", "line 2: expected label and at least one feature"),
+    ("+1,#1.0\n", "line 1: bad number '#1.0'"),
+    ("+1,,2.0\n", "line 1: bad number ''"),
+    ("+1,2.0,\n", "line 1: bad number ''"),
+    ('"+1",1.0\n', "line 1: bad label '\"+1\"'"),
+    ('+1,"1.0"\n', "line 1: bad number '\"1.0\"'"),
+    ("+1;1.0\n", "line 1: expected label and at least one feature"),
+    ("+1\n", "line 1: expected label and at least one feature"),
+    ("+1,abc\n", "line 1: bad number 'abc'"),
+    ("+1,0x10\n", "line 1: bad number '0x10'"),
+    ("+1,1.0\n+1,abc\n3,1.0\n", "line 2: bad number 'abc'"),
+    ("+1,1.0\n\n-1,1,2\n+1,nan\n", "line 3: expected 1 features, got 2"),
+]
+
+
+@pytest.mark.parametrize("text, message", CSV_ERROR_MESSAGES)
+def test_csv_error_messages(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DataFormatError) as err:
+        parse_dataset(path)
+    assert str(err.value) == message
+
+
+def test_csv_empty_file_message(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("\n  \n")
+    with pytest.raises(DataFormatError) as err:
+        parse_dataset(path)
+    assert str(err.value) == f"{path}: no samples found"
+
+
+# Well-formed CSV text and the (X, y) it parses to.  1_0 and the
+# Arabic-Indic digits are syntax that only Python's float accepts, so the
+# per-line loop parses them; the block parse takes the rest.
+CSV_ACCEPTED = [
+    ("+1,1_0\n-1,2.5\n", [[10.0], [2.5]], [1.0, -1.0]),
+    ("+1,\u0663.\u0665\n-1,2\n", [[3.5], [2.0]], [1.0, -1.0]),
+    (" +1 , 0.5 ,\t-2 \n-1,  1e-3,4\n", [[0.5, -2.0], [1e-3, 4.0]], [1.0, -1.0]),
+    ("+1,0.5,-2\r\n-1,1e-3,4\r\n", [[0.5, -2.0], [1e-3, 4.0]], [1.0, -1.0]),
+    ("\n+1,0.5\n\n  \n-1,1.5\n\n", [[0.5], [1.5]], [1.0, -1.0]),
+    ("1e0,0.5\n-1e0,-0\n1.0,2\n", [[0.5], [-0.0], [2.0]], [1.0, -1.0, 1.0]),
+]
+
+
+@pytest.mark.parametrize("text, X, y", CSV_ACCEPTED)
+def test_csv_accepted_syntax(tmp_path, text, X, y):
+    path = tmp_path / "ok.csv"
+    path.write_bytes(text.encode())
+    ds = parse_dataset(path)
+    assert ds.X.tobytes() == np.array(X).tobytes()
+    assert ds.y.tobytes() == np.array(y).tobytes()
+
+
+def test_csv_block_parse_skips_line_loop(tmp_path, monkeypatch):
+    # Well-formed files never reach the per-line loop; a bad file does.
+    path = tmp_path / "ok.csv"
+    write_csv(gen_synthetic(20, 3.0, 0.1, 4), path)
+    calls = []
+
+    def line_loop(lines):
+        calls.append(len(lines))
+        return parse_line_loop(lines)
+
+    parse_line_loop = datasets._parse_csv_lines
+    monkeypatch.setattr(datasets, "_parse_csv_lines", line_loop)
+    parse_dataset(path)
+    assert calls == []
+    path.write_text("+1,1.0\n-1,2,3\n")
+    with pytest.raises(DataFormatError):
+        parse_dataset(path)
+    assert calls == [2]
+
+
+def test_csv_round_trip_matches_line_loop(tmp_path):
+    # write_csv -> parse_dataset on random data with extreme and signed
+    # values: the block parse returns X and y bytewise, and so does the
+    # per-line loop it replaces on well-formed files.
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((300, 4)) * np.exp(rng.uniform(-30, 30, (300, 4)))
+    X[:8, 0] = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                -2.2250738585072014e-308, 1e16, 1e-5]
+    ds = Dataset(X=X, y=rng.choice([-1.0, 1.0], size=300))
+    path = tmp_path / "rand.csv"
+    write_csv(ds, path)
+    back = parse_dataset(path)
+    assert back.X.tobytes() == ds.X.tobytes()
+    assert back.y.tobytes() == ds.y.tobytes()
+    lines = list(enumerate(path.read_text().splitlines(), start=1))
+    loop = datasets._parse_csv_lines(lines)
+    assert loop.X.tobytes() == back.X.tobytes()
+    assert loop.y.tobytes() == back.y.tobytes()
 
 
 def test_libsvm_parsing(tmp_path):

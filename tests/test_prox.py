@@ -15,7 +15,7 @@ from rampsvm import (
     prox_oracle,
     prox_scalar,
 )
-from rampsvm.prox import _prox_primary
+from rampsvm.prox import _max_prox_distance, _prox_primary
 
 # (s, gammaC) -> expected values, worked out by hand from the two closed
 # forms.  Shift regime (gammaC < 2): stay above 1 + gammaC/2, shift down by
@@ -222,6 +222,39 @@ def test_prox_primary_matches_prox_array(gamma, C):
             assert _bits(g_i) == _bits(prox_scalar(s_i, params).values[0]), s_i
 
 
+@pytest.mark.parametrize("gamma, C", ARRAY_PARAMS)
+def test_max_prox_distance_matches_prox_distance(gamma, C):
+    # The trainer's r_prox equals prox_distance(...).max() bit for bit: on
+    # random (u, s) in both regimes, with s at the tie threshold, at the
+    # floats on either side of it and at the signed zeros, and with u on
+    # either member of the prox set at a tie.
+    params = ProxParams(gamma, C)
+    gc = params.gammaC
+    thr = 1.0 + gc / 2.0 if gc < 2.0 else math.sqrt(2.0 * gc)
+    below_thr = thr - gc if gc < 2.0 else 0.0
+    rng = np.random.default_rng(11)
+    specials = [-0.0, 0.0, gc] + [_step_ulps(thr, k) for k in (-1, 0, 1)]
+    cases = []
+    for _ in range(30):
+        s = rng.uniform(-2.0, 2.0 * thr, 40)
+        cases.append((rng.uniform(-2.0, 2.0 * thr, 40), s))
+        cases.append((_prox_primary(s, params), s))
+    for u_tie in (thr, below_thr, -0.0, 0.0, 0.5 * (thr + below_thr)):
+        s = np.array(specials)
+        cases.append((np.full(s.shape, u_tie), s))
+        cases.append((np.array([u_tie]), np.array([thr])))
+    # u on the alternative member: the distance is 0 only through the tie.
+    for s in (np.array(specials), rng.uniform(-2.0, 2.0 * thr, 10)):
+        s = np.concatenate((s, [thr]))
+        cases.append((prox_array(s, params)[1], s))
+    cases.append((np.array([-0.0, 0.0]), np.array([0.0, -0.0])))
+    for u, s in cases:
+        want = prox_distance(u, s, params).max()
+        got = _max_prox_distance(u, s, params)
+        assert type(got) is type(want)
+        assert _bits(got) == _bits(want), (u, s)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_prox_array_rejects_non_finite(bad):
     params = ProxParams(gamma=1.0, C=1.0)
@@ -229,6 +262,8 @@ def test_prox_array_rejects_non_finite(bad):
         prox_array(np.array([0.5, bad]), params)
     with pytest.raises(ValueError):
         prox_distance(np.zeros(2), np.array([0.5, bad]), params)
+    with pytest.raises(ValueError, match="prox needs finite arguments"):
+        _max_prox_distance(np.zeros(2), np.array([0.5, bad]), params)
     with pytest.raises(ValueError):
         prox_scalar(bad, params)
 
