@@ -83,11 +83,18 @@ def _parse_float(tok: str, lineno: int) -> float:
     return val
 
 
-def _parse_csv(lines) -> Dataset:
+def _numbered(text: str) -> list[tuple[int, str]]:
+    """(1-based line number, stripped line) of every non-blank line."""
+    return [
+        (i, stripped)
+        for i, raw in enumerate(text.splitlines(), start=1)
+        if (stripped := raw.strip())
+    ]
+
+
+def _parse_csv(lines: list[str], text: str) -> Dataset:
     try:
-        block = np.loadtxt(
-            [line for _, line in lines], delimiter=",", comments=None, ndmin=2
-        )
+        block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         block = None
     if (
@@ -98,7 +105,7 @@ def _parse_csv(lines) -> Dataset:
         and np.isfinite(block[:, 1:]).all()
     ):
         return Dataset(X=block[:, 1:], y=block[:, 0])
-    return _parse_csv_lines(lines)
+    return _parse_csv_lines(_numbered(text))
 
 
 def _parse_csv_lines(lines) -> Dataset:
@@ -165,17 +172,14 @@ def parse_dataset(path, fmt: DataFormat = DataFormat.CSV) -> Dataset:
     """Load a dataset file; raises DataFormatError with a line number on
     malformed input and on an empty file."""
     text = Path(path).read_text()
-    lines = [
-        (i, stripped)
-        for i, raw in enumerate(text.splitlines(), start=1)
-        if (stripped := raw.strip())
-    ]
+    # The stripped non-blank lines; only the per-line parsers number them.
+    lines = list(filter(None, map(str.strip, text.splitlines())))
     if not lines:
         raise DataFormatError(f"{path}: no samples found")
     if fmt is DataFormat.CSV:
-        return _parse_csv(lines)
+        return _parse_csv(lines, text)
     if fmt is DataFormat.LIBSVM:
-        return _parse_libsvm(lines)
+        return _parse_libsvm(_numbered(text))
     raise ValueError(f"unknown format {fmt!r}")
 
 

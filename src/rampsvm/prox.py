@@ -23,8 +23,9 @@ the same closed form elementwise with the same floats, and prox_distance
 builds ProxSet.distance on it; the trainer and the certificate use these.
 The trainer's prox step calls _prox_primary, the primary branch on which
 prox_array is built, without prox_array's second finiteness check, and its
-r_prox calls _max_prox_distance, which builds the alternative branch only
-when some input sits on the tie threshold.
+r_prox calls _max_prox_distance once per block of iterates, one row each,
+which builds the alternative branch only for a row with an input on the
+tie threshold.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import check_positive
-from .losses import ramp_loss
 
 __all__ = [
     "ProxParams",
@@ -43,13 +43,7 @@ __all__ = [
     "prox_scalar",
     "prox_array",
     "prox_distance",
-    "prox_objective",
-    "prox_oracle",
 ]
-
-# Grid points per oracle block: 64 KiB of float64, below glibc's default
-# 128 KiB mmap threshold.
-_ORACLE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -129,15 +123,22 @@ def _tie_threshold(gc: float) -> float:
     return 1.0 + gc / 2.0 if gc < 2.0 else math.sqrt(2.0 * gc)
 
 
-def _prox_primary(s: np.ndarray, params: ProxParams) -> np.ndarray:
+def _prox_primary(s: np.ndarray, params: ProxParams, out=None) -> np.ndarray:
     """prox_array's primary value for a float array s already known to be
-    finite; the trainer's hot path calls it without the input check."""
+    finite; the trainer's hot path calls it without the input check, into
+    out when given.  In the threshold regime the prox keeps s where
+    s <= 0 or s >= the threshold and zeroes it in between, so it is s times
+    that keep mask, which gives the same floats as nested np.where
+    selections, signed zeros, ties and non-finite s included."""
     gc = params.gammaC
-    if gc < 2.0:
-        below = np.where(s >= gc, s - gc, np.where(s > 0.0, 0.0, s))
-    else:
-        below = np.where(s > 0.0, 0.0, s)
-    return np.where(s >= _tie_threshold(gc), s, below)
+    thr = _tie_threshold(gc)
+    if gc >= 2.0:
+        return np.multiply(s, (s <= 0.0) | (s >= thr), out=out)
+    below = np.where(s >= gc, s - gc, np.where(s > 0.0, 0.0, s))
+    if out is None:
+        return np.where(s >= thr, s, below)
+    np.copyto(out, np.where(s >= thr, s, below))
+    return out
 
 
 def prox_array(s, params: ProxParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -171,66 +172,18 @@ def prox_distance(u, s, params: ProxParams) -> np.ndarray:
 
 
 def _max_prox_distance(u: np.ndarray, s: np.ndarray, params: ProxParams):
-    """prox_distance(u, s, params).max() bit for bit, for float arrays.
+    """prox_distance(u, s, params).max() bit for bit, for float arrays; for
+    R x m blocks u and s, the same for each row, as an array of R maxima.
 
     Off the tie threshold the prox is single-valued, so the distance is
-    |u - primary|.  A tie in s, or a non-finite result, which every
-    non-finite s gives, takes prox_distance itself, so a non-finite s
-    raises its ValueError.
+    |u - primary|.  A row with a tie in s, or with a non-finite result,
+    which every non-finite s gives, takes prox_distance itself, so a
+    non-finite s raises its ValueError.
     """
-    r = np.abs(u - _prox_primary(s, params)).max()
-    if math.isfinite(r) and not (s == _tie_threshold(params.gammaC)).any():
-        return r
-    return prox_distance(u, s, params).max()
-
-
-def prox_objective(v: float, s: float, params: ProxParams) -> float:
-    """The prox objective C*ramp_loss(v) + (v-s)^2/(2*gamma) at v."""
-    v = float(v)
-    s = float(s)
-    return params.C * ramp_loss(v) + (v - s) ** 2 / (2.0 * params.gamma)
-
-
-def prox_oracle(s: float, params: ProxParams) -> float:
-    """Brute-force minimizer of the prox objective, independent of the
-    closed form.
-
-    Evaluates the exact candidate points {s, s - gamma*C, 0} plus a uniform
-    grid of step 1e-4 spanning [min(s,-1)-1, max(s,2)+1], and returns the
-    first best point found, candidates before grid.  The candidates make the
-    oracle exact at the kinks that the coarse grid would otherwise straddle.
-    """
-    s = float(s)
-    if not math.isfinite(s):
-        raise ValueError(f"prox oracle needs a finite argument, got {s}")
-    step = 1e-4
-    lo = min(s, -1.0) - 1.0
-    hi = max(s, 2.0) + 1.0
-    # Grid point i is lo + i*delta, bit for bit the values of
-    # np.arange(lo, hi + step/2, step).  The grid is built and scanned in
-    # blocks small enough to stay off the mmap allocation path: a fresh
-    # grid-sized array per call spent most of the oracle's time faulting
-    # in new pages.
-    delta = (lo + step) - lo
-    size = math.ceil((hi + 0.5 * step - lo) / step)
-
-    def blocks():
-        yield np.array([s, s - params.gammaC, 0.0])
-        for start in range(0, size, _ORACLE_BLOCK):
-            v = np.arange(start, min(start + _ORACLE_BLOCK, size), dtype=float)
-            v *= delta
-            v += lo
-            yield v
-
-    best, best_obj = s, math.inf
-    for v in blocks():
-        obj = np.clip(v, 0.0, 1.0)
-        obj *= params.C
-        quad = v - s
-        quad *= quad
-        quad /= 2.0 * params.gamma
-        obj += quad
-        i = int(np.argmin(obj))
-        if obj[i] < best_obj:
-            best, best_obj = float(v[i]), float(obj[i])
-    return best
+    r = np.abs(u - _prox_primary(s, params)).max(axis=-1)
+    redo = ~np.isfinite(r) | (s == _tie_threshold(params.gammaC)).any(axis=-1)
+    if r.ndim == 0:
+        return prox_distance(u, s, params).max() if redo else r
+    for i in np.flatnonzero(redo):
+        r[i] = prox_distance(u[i], s[i], params).max()
+    return r

@@ -13,10 +13,13 @@ The problem is nonconvex, so no convergence guarantee is claimed.  Instead
 every iterate is screened with the P-stationarity residuals, computed from
 the arrays the iteration already holds, and the solver only reports
 CONVERGED when check_pstationary confirms that they drop below tol;
-MAX_ITER / DIVERGED are first-class outcomes.  The state (B z, lambda)
-fixes every later iteration, so a run stops at the first bit-for-bit
-repeat of it that Brent's cycle detection sees, with the MAX_ITER result
-its full budget would give.
+MAX_ITER / DIVERGED are first-class outcomes.  The iterations run one at a
+time, while the screen runs once per block of up to 64 of them, on arrays
+that hold one iterate per row; the result is bit for bit the one a screen
+after every iteration gives.  The state (B z, lambda) fixes every later
+iteration, so a run stops at the first bit-for-bit repeat of it that
+Brent's cycle detection sees, with the MAX_ITER result its full budget
+would give.
 
 The global oracle is exact over a (w, b) box for n <= 2: it enumerates the
 O(C(2m + 2d, d)) vertices of the arrangement of kink planes and box facets,
@@ -102,27 +105,40 @@ class SolveResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+# A screen block holds at most _BLOCK_ROWS iterations and _BLOCK_SIZE
+# sample-iterations.  64 rows spread the screen's fixed per-call cost
+# thinly at small m.  The size cap keeps each block array at 32 KiB, and
+# bounds the work done past a converging iteration to one block; from
+# m = 4097 up a block is one iteration.  Neither changes any result.
+_BLOCK_ROWS = 64
+_BLOCK_SIZE = 4096
+
+
 def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
     """Run the alternating scheme until the stationarity residuals pass tol.
 
     The (w, b) system is factored once, before the loop, into the gain
-    matrix K = -sigma M^{-1} B^T.  Each iteration screens its iterate with
-    the residuals of check_pstationary, computed from the arrays it already
-    holds, and hands only an iterate that passes to check_pstationary.
-    CONVERGED is returned only when that call agrees, so CONVERGED results
-    always carry a P_STATIONARY certificate at the configured tolerance and
-    prox step 1/sigma.  MAX_ITER results carry the iterate with the
-    smallest screened max residual (the earliest on ties), certified once
-    by check_pstationary, with its iteration in
+    matrix K = -sigma M^{-1} B^T.  The iterations run one at a time in
+    blocks of up to 64, each keeping its iterate in a row of the block's
+    arrays.  The screen then takes the residuals of check_pstationary for
+    the whole block, computed from those rows, and applies the rules below
+    to the rows in iteration order, so the result is bit for bit that of a
+    screen after every iteration.  Only an iterate that passes the screen
+    goes to check_pstationary.  CONVERGED is returned only when that call
+    agrees, so CONVERGED results always carry a P_STATIONARY certificate at
+    the configured tolerance and prox step 1/sigma.  MAX_ITER results carry
+    the iterate with the smallest screened max residual (the earliest on
+    ties), certified once by check_pstationary, with its iteration in
     diagnostics["best_iteration"].  The screen stops at the first residual
-    that already rules an iterate out, r_feas first.  A run whose state
-    (B z, lambda) repeats byte for byte only replays iterates it has
-    screened, so it stops at the first repeat that Brent's cycle detection
-    sees and returns what the full budget would: the same MAX_ITER result,
-    iterations = max_iter, plus the minimal period of the cycle in
+    that already rules an iterate out, r_feas first, judged against the
+    best iterate at the block's start.  A run whose state (B z, lambda)
+    repeats byte for byte only replays iterates it has screened, so it
+    stops at the first repeat that Brent's cycle detection sees and returns
+    what the full budget would: the same MAX_ITER result, iterations =
+    max_iter, plus the minimal period of the cycle in
     diagnostics["cycle_period"].  A failed SPD factorization or a
     non-finite iterate yields DIVERGED with the trigger recorded in
-    diagnostics.
+    diagnostics, once the iterates before it have been screened.
     """
     B = problem.B
     m, n = problem.m, problem.n
@@ -168,46 +184,88 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
     # 1, 2, 4, 8, ..., and stops at the first state equal to it.
     saved_it, saved_lam, saved_Bz = 0, None, None
     cycle = {}
-    for it in range(1, config.max_iter + 1):
-        lam_s = lam / sigma
-        s = 1.0 - Bz - lam_s
-        if not np.isfinite(s).all():
-            return diverged(f"non-finite iterate at iteration {it}", it)
-        u = _prox_primary(s, params)
-        z = K @ (u - 1.0 + lam_s)
-        Bz = B @ z
-        feas = u + Bz - 1.0
-        lam = lam + sigma * feas
-        if not (np.isfinite(z).all() and np.isfinite(lam).all()):
-            return diverged(f"non-finite iterate at iteration {it}", it)
-        # The residuals of check_pstationary, each computed only while the
-        # iterate can still pass tol or beat the best one: r_feas from
-        # feas, then r_grad and r_y from g = B^T lam + (w; 0), whose first
-        # n entries and last entry hold them, then r_prox.
-        worst = float(np.abs(feas).max())
-        if worst <= tol or worst < best_worst:
-            g = B.T @ lam
-            g[:n] += z[:n]
-            worst = max(float(np.abs(g).max()), worst)
-            if worst <= tol or worst < best_worst:
-                r_prox = _max_prox_distance(u, u - gamma * lam, params)
-                worst = max(worst, float(r_prox))
+    # Iteration i of a block keeps u, the feasibility residual, lam and z
+    # in row i of U, F, L and Z.
+    rows = min(_BLOCK_ROWS, max(1, _BLOCK_SIZE // m), config.max_iter)
+    U, F, L = np.empty((rows, m)), np.empty((rows, m)), np.empty((rows, m))
+    Z = np.empty((rows, n + 1))
+    it, stop = 0, None
+    while it < config.max_iter and not cycle:
+        # Core phase: the iterations themselves, one at a time.
+        start, k = it, 0
+        while k < rows and it < config.max_iter:
+            it += 1
+            lam_s = lam / sigma
+            s = 1.0 - Bz - lam_s
+            if not np.isfinite(s).all():
+                stop = f"non-finite iterate at iteration {it}"
+                break
+            u = _prox_primary(s, params, out=U[k])
+            z = K @ (u - 1.0 + lam_s)
+            Bz = B @ z
+            feas = np.add(u, Bz, out=F[k])
+            feas -= 1.0
+            lam = lam + sigma * feas
+            if not (np.isfinite(z).all() and np.isfinite(lam).all()):
+                stop = f"non-finite iterate at iteration {it}"
+                break
+            Z[k], L[k] = z, lam
+            k += 1
+            # A repeated state replays iterations already screened: none of
+            # them can converge, and under the strict < none replaces the
+            # best iterate, so the run ends as the full budget would.
+            lam_bytes = lam.tobytes()
+            if lam_bytes == saved_lam and Bz.tobytes() == saved_Bz:
+                cycle = {"cycle_period": it - saved_it}
+                break
+            if it & (it - 1) == 0:
+                saved_it, saved_lam, saved_Bz = it, lam_bytes, Bz.tobytes()
+        # Screen phase: the residuals of check_pstationary for the block's
+        # k rows, each computed only for the rows that can still pass tol
+        # or beat the best iterate as it stood at the block's start.  The
+        # best only improves during the block, so these rows include every
+        # row the per-iteration rules below look at.  r_feas comes from the
+        # feasibility residual, r_grad and r_y from g = B^T lam + (w; 0),
+        # whose first n entries and last entry hold them, then r_prox.  g
+        # takes one matrix-vector product per row, as a single iteration
+        # does, because a matrix-matrix product may sum in another order.
+        r_feas = np.abs(F[:k]).max(axis=1)
+        rows_g = np.flatnonzero((r_feas <= tol) | (r_feas < best_worst))
+        G = np.empty((rows_g.size, n + 1))
+        for i, j in enumerate(rows_g):
+            np.matmul(B.T, L[j], out=G[i])
+        G[:, :n] += Z[rows_g, :n]
+        worst_g = np.maximum(np.abs(G).max(axis=1), r_feas[rows_g])
+        near = (worst_g <= tol) | (worst_g < best_worst)
+        rows_p = rows_g[near]
+        u_p = U[rows_p]
+        r_prox = _max_prox_distance(u_p, u_p - gamma * L[rows_p], params)
+        # The per-iteration rules, in iteration order.
+        best_row = None
+        for j, worst, r in zip(
+            rows_p.tolist(), worst_g[near].tolist(), r_prox.tolist()
+        ):
+            if not (worst <= tol or worst < best_worst):
+                continue
+            worst = max(worst, r)
             if worst <= tol:
-                point = PrimalDualPoint(w=z[:n], b=z[n], u=u, lam=lam)
+                point = PrimalDualPoint(w=Z[j, :n], b=Z[j, n], u=U[j], lam=L[j])
                 cert = check_pstationary(point, problem, C, gamma, tol)
                 if cert.verdict is Verdict.P_STATIONARY:
-                    return result(SolveStatus.CONVERGED, point, cert, it, {})
+                    return result(
+                        SolveStatus.CONVERGED, point, cert, start + j + 1, {}
+                    )
             if worst < best_worst:
-                best_worst, best = worst, (it, z, u, lam)
-        # A repeated state replays iterations already screened: none of them
-        # can converge, and under the strict < none replaces the best
-        # iterate, so the run ends as the full budget would.
-        lam_bytes = lam.tobytes()
-        if lam_bytes == saved_lam and Bz.tobytes() == saved_Bz:
-            cycle = {"cycle_period": it - saved_it}
-            break
-        if it & (it - 1) == 0:
-            saved_it, saved_lam, saved_Bz = it, lam_bytes, Bz.tobytes()
+                best_worst, best_row = worst, j
+        if best_row is not None:
+            best = (
+                start + best_row + 1,
+                Z[best_row].copy(),
+                U[best_row].copy(),
+                L[best_row].copy(),
+            )
+        if stop is not None:
+            return diverged(stop, it)
     best_it, z, u, lam = best
     point = PrimalDualPoint(w=z[:n], b=z[n], u=u, lam=lam)
     cert = check_pstationary(point, problem, C, gamma, tol)

@@ -1,8 +1,11 @@
 """Shared test oracles.
 
-Two independent references live here so that library claims are checked
+Independent references live here so that library claims are checked
 against something the library itself does not use:
 
+prox_oracle     brute-force minimizer of the prox objective (prox_objective)
+                on a fine grid plus the kink candidates, independent of the
+                closed form.
 kkt_enumerate   exact global minimization of the ramp-SVM objective on tiny
                 instances by enumerating every margin arrangement and solving
                 each arrangement's stationarity system in closed form.
@@ -12,11 +15,69 @@ local_min_probe randomized descent search in a ball around a candidate,
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import numpy as np
 
-from rampsvm import objective
+from rampsvm import ProxParams, objective, ramp_loss
+
+# Grid points per oracle block: 64 KiB of float64, below glibc's default
+# 128 KiB mmap threshold.
+_ORACLE_BLOCK = 8192
+
+
+def prox_objective(v: float, s: float, params: ProxParams) -> float:
+    """The prox objective C*ramp_loss(v) + (v-s)^2/(2*gamma) at v."""
+    v = float(v)
+    s = float(s)
+    return params.C * ramp_loss(v) + (v - s) ** 2 / (2.0 * params.gamma)
+
+
+def prox_oracle(s: float, params: ProxParams) -> float:
+    """Brute-force minimizer of the prox objective, independent of the
+    closed form.
+
+    Evaluates the exact candidate points {s, s - gamma*C, 0} plus a uniform
+    grid of step 1e-4 spanning [min(s,-1)-1, max(s,2)+1], and returns the
+    first best point found, candidates before grid.  The candidates make the
+    oracle exact at the kinks that the coarse grid would otherwise straddle.
+    """
+    s = float(s)
+    if not math.isfinite(s):
+        raise ValueError(f"prox oracle needs a finite argument, got {s}")
+    step = 1e-4
+    lo = min(s, -1.0) - 1.0
+    hi = max(s, 2.0) + 1.0
+    # Grid point i is lo + i*delta, bit for bit the values of
+    # np.arange(lo, hi + step/2, step).  The grid is built and scanned in
+    # blocks small enough to stay off the mmap allocation path: a fresh
+    # grid-sized array per call spent most of the oracle's time faulting
+    # in new pages.
+    delta = (lo + step) - lo
+    size = math.ceil((hi + 0.5 * step - lo) / step)
+
+    def blocks():
+        yield np.array([s, s - params.gammaC, 0.0])
+        for start in range(0, size, _ORACLE_BLOCK):
+            v = np.arange(start, min(start + _ORACLE_BLOCK, size), dtype=float)
+            v *= delta
+            v += lo
+            yield v
+
+    best, best_obj = s, math.inf
+    for v in blocks():
+        obj = np.clip(v, 0.0, 1.0)
+        obj *= params.C
+        quad = v - s
+        quad *= quad
+        quad /= 2.0 * params.gamma
+        obj += quad
+        i = int(np.argmin(obj))
+        if obj[i] < best_obj:
+            best, best_obj = float(v[i]), float(obj[i])
+    return best
+
 
 # Margin classes for the enumeration: each sample sits below the hinge (N),
 # on the lower kink (Z), strictly inside the band (B), on the upper kink (O),

@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from conftest import local_min_probe
+from conftest import local_min_probe, prox_objective, prox_oracle
 from rampsvm import (
     COUNTEREXAMPLE_C,
     Dataset,
@@ -36,8 +36,6 @@ from rampsvm import (
     global_oracle,
     grade_point,
     objective,
-    prox_objective,
-    prox_oracle,
     prox_scalar,
     recover_multiplier,
     single_point_dataset,

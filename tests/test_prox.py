@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import prox_objective, prox_oracle
 from rampsvm import (
     ProxParams,
     ProxSet,
     prox_array,
     prox_distance,
-    prox_objective,
-    prox_oracle,
     prox_scalar,
 )
 from rampsvm.prox import _max_prox_distance, _prox_primary
@@ -204,22 +203,45 @@ def test_prox_array_matches_scalar(case):
     _assert_matches_scalar(s, u, params)
 
 
+def _nested_where_primary(s, params):
+    """The primary branch as two nested np.where selections, the form
+    _prox_primary's threshold-regime keep mask replaced."""
+    gc = params.gammaC
+    thr = 1.0 + gc / 2.0 if gc < 2.0 else math.sqrt(2.0 * gc)
+    if gc < 2.0:
+        below = np.where(s >= gc, s - gc, np.where(s > 0.0, 0.0, s))
+    else:
+        below = np.where(s > 0.0, 0.0, s)
+    return np.where(s >= thr, s, below)
+
+
 @pytest.mark.parametrize("gamma, C", ARRAY_PARAMS)
 def test_prox_primary_matches_prox_array(gamma, C):
     # The trainer's unchecked primary branch gives prox_array's primary
     # value, and the scalar reference's first value, bit for bit: at the
-    # signed zeros, gamma*C, the tie threshold and the floats on either
-    # side of it, and on random arrays.
+    # signed zeros and subnormals, gamma*C, the tie threshold and the floats
+    # on either side of it, and on random arrays; also when written into
+    # out.  On +-inf and NaN, which prox_array rejects, it gives the
+    # nested-where form's values, which _max_prox_distance's fallback
+    # relies on to see a non-finite argument.
     params = ProxParams(gamma, C)
     gc = params.gammaC
     thr = 1.0 + gc / 2.0 if gc < 2.0 else math.sqrt(2.0 * gc)
-    s = [-0.0, 0.0, gc] + [_step_ulps(thr, k) for k in (-1, 0, 1)]
+    s = [-0.0, 0.0, 5e-324, -5e-324, gc] + [_step_ulps(thr, k) for k in (-1, 0, 1)]
     rng = np.random.default_rng(7)
     for arr in [np.array(s)] + [rng.uniform(-2.0, 2.0 * thr, 40) for _ in range(20)]:
         got = _prox_primary(arr, params)
         assert got.tobytes() == prox_array(arr, params)[0].tobytes(), arr
+        assert got.tobytes() == _nested_where_primary(arr, params).tobytes(), arr
         for g_i, s_i in zip(got, arr):
             assert _bits(g_i) == _bits(prox_scalar(s_i, params).values[0]), s_i
+        out = np.full(arr.shape, np.nan)
+        assert _prox_primary(arr, params, out=out) is out
+        assert out.tobytes() == got.tobytes(), arr
+    bad = np.array([math.inf, -math.inf, math.nan, -math.nan, 0.5, -1.0])
+    got = _prox_primary(bad, params)
+    assert got.tobytes() == _nested_where_primary(bad, params).tobytes()
+    assert np.isinf(got[:2]).all() and np.isnan(got[2:4]).all()
 
 
 @pytest.mark.parametrize("gamma, C", ARRAY_PARAMS)
@@ -227,7 +249,8 @@ def test_max_prox_distance_matches_prox_distance(gamma, C):
     # The trainer's r_prox equals prox_distance(...).max() bit for bit: on
     # random (u, s) in both regimes, with s at the tie threshold, at the
     # floats on either side of it and at the signed zeros, and with u on
-    # either member of the prox set at a tie.
+    # either member of the prox set at a tie.  An R x m block gives each
+    # row's 1-d result, tie rows and rows with a non-finite u included.
     params = ProxParams(gamma, C)
     gc = params.gammaC
     thr = 1.0 + gc / 2.0 if gc < 2.0 else math.sqrt(2.0 * gc)
@@ -248,11 +271,30 @@ def test_max_prox_distance_matches_prox_distance(gamma, C):
         s = np.concatenate((s, [thr]))
         cases.append((prox_array(s, params)[1], s))
     cases.append((np.array([-0.0, 0.0]), np.array([0.0, -0.0])))
+    for bad in (math.inf, -math.inf, math.nan):
+        s = rng.uniform(-2.0, 2.0 * thr, 6)
+        cases.append((np.concatenate(([bad], s[1:])), s))
     for u, s in cases:
         want = prox_distance(u, s, params).max()
         got = _max_prox_distance(u, s, params)
         assert type(got) is type(want)
         assert _bits(got) == _bits(want), (u, s)
+    # Rows of one width, stacked into blocks: one with random rows only, one
+    # with a tie row and a non-finite row among them, and a single row.
+    rows = [rng.uniform(-2.0, 2.0 * thr, (2, 6)) for _ in range(6)]
+    # The tie row's u is the alternative member, at distance 0 only
+    # through the tie.
+    rows[2][1, 3] = thr
+    rows[2][0] = prox_array(rows[2][1], params)[1]
+    rows[4][0, 0] = math.inf
+    rows[5][0, 5] = math.nan
+    for block in (rows[:2], rows, rows[2:3]):
+        U = np.stack([u for u, _ in block])
+        S = np.stack([s for _, s in block])
+        got = _max_prox_distance(U, S, params)
+        assert got.shape == (len(block),)
+        for g, u, s in zip(got, U, S):
+            assert _bits(g) == _bits(_max_prox_distance(u, s, params)), (u, s)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -264,6 +306,8 @@ def test_prox_array_rejects_non_finite(bad):
         prox_distance(np.zeros(2), np.array([0.5, bad]), params)
     with pytest.raises(ValueError, match="prox needs finite arguments"):
         _max_prox_distance(np.zeros(2), np.array([0.5, bad]), params)
+    with pytest.raises(ValueError, match="prox needs finite arguments"):
+        _max_prox_distance(np.zeros((2, 2)), np.array([[0.5, 0.5], [0.5, bad]]), params)
     with pytest.raises(ValueError):
         prox_scalar(bad, params)
 

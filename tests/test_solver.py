@@ -29,6 +29,7 @@ from rampsvm import (
     symmetric_pair_dataset,
     train_admm,
 )
+from rampsvm import solver
 
 
 def test_config_defaults_and_validation():
@@ -214,11 +215,103 @@ def test_cycle_period_recorded():
         assert states[saved - 1] not in states[saved : 2 * saved]
 
 
+def _assert_matches_full_budget(prob, cfg, case):
+    """train_admm's result equals the full-budget loop's, bit for bit."""
+    res = train_admm(prob, cfg)
+    status, iters, point, cert, best_it = _full_budget_admm(prob, cfg)
+    assert (res.status, res.iterations) == (status, iters), case
+    for name in ("w", "b", "u", "lam"):
+        got, want = getattr(res.point, name), getattr(point, name)
+        assert _bits(got) == _bits(want), (case, name)
+    assert res.certificate == cert, case
+    assert res.diagnostics.get("best_iteration") == best_it, case
+    return res
+
+
+def _batch_problem(seed):
+    return build_problem(gen_synthetic(8, 4.0, 0.1 if seed % 2 else 0.0, seed))
+
+
+def test_block_boundaries_match_full_budget():
+    # The screen runs once per block of up to 64 iterations at m = 16.
+    # Budgets that end inside, on and just past a block give the
+    # per-iteration result, and so do runs at other sample counts, odd ones
+    # included.
+    for seed in range(20):
+        prob = _batch_problem(seed)
+        for max_iter in (1, 63, 64, 65, 128):
+            cfg = SolverConfig(C=1.0, tol=1e-8, max_iter=max_iter)
+            _assert_matches_full_budget(prob, cfg, (seed, max_iter))
+    for ds, max_iter in (
+        (gen_synthetic(8, 4.0, 0.0, 10), 3000),  # converges, m = 15 too
+        (gen_synthetic(8, 4.0, 0.0, 3), 3000),  # cycles at m = 15
+        (gen_synthetic(500, 3.0, 0.05, 0), 300),  # m = 1000, 4-row blocks
+        (gen_synthetic(2049, 3.0, 0.05, 1), 30),  # m = 4098, 1-row blocks
+    ):
+        prob = build_problem(ds)
+        odd = build_problem(Dataset(X=ds.X[:-1], y=ds.y[:-1]))
+        for p in (prob, odd):
+            for sigma in (0.5, 1.0):
+                cfg = SolverConfig(C=1.0, sigma=sigma, tol=1e-8, max_iter=max_iter)
+                _assert_matches_full_budget(p, cfg, (p.m, sigma))
+
+
+def test_budget_ending_on_convergence():
+    # A budget that ends on a converging iteration converges there; one
+    # iteration less returns the best iterate before it.  1606 is row 6 of
+    # its block, 601 row 25 and 363 row 43.
+    for seed, conv in ((15, 1606), (4, 601), (10, 363)):
+        prob = _batch_problem(seed)
+        for max_iter, status in (
+            (conv, SolveStatus.CONVERGED),
+            (conv - 1, SolveStatus.MAX_ITER),
+        ):
+            cfg = SolverConfig(C=1.0, tol=1e-8, max_iter=max_iter)
+            res = _assert_matches_full_budget(prob, cfg, (seed, max_iter))
+            assert res.status is status and res.iterations == max_iter
+
+
+def test_divergence_inside_a_block(monkeypatch):
+    # A non-finite iterate at iteration k ends the run with DIVERGED at k,
+    # unless an earlier iteration of the same block converges: seed 15
+    # converges at iteration 1606, the sixth row of the block that starts
+    # at 1601.
+    prob = _batch_problem(15)
+    cfg = SolverConfig(C=1.0, tol=1e-8)
+    clean = train_admm(prob, cfg)
+    prox_primary = solver._prox_primary
+    for k in (1, 64, 65, 1600, 1601, 1606, 1607, 1664):
+        calls = []
+
+        def poisoned(s, params, out=None):
+            calls.append(None)
+            u = prox_primary(s, params, out=out)
+            if len(calls) == k:
+                u[0] = math.nan
+            return u
+
+        monkeypatch.setattr(solver, "_prox_primary", poisoned)
+        res = train_admm(prob, cfg)
+        if k <= 1606:
+            assert res.status is SolveStatus.DIVERGED and res.iterations == k
+            assert res.diagnostics["reason"] == f"non-finite iterate at iteration {k}"
+        else:
+            assert (res.status, res.iterations) == (SolveStatus.CONVERGED, 1606)
+            assert _bits(res.point.lam) == _bits(clean.point.lam), k
+            assert res.certificate == clean.certificate, k
+
+
 def test_train_diverged_status():
-    prob = build_problem(symmetric_pair_dataset())
-    res = train_admm(prob, SolverConfig(C=1.0, sigma=1e308, max_iter=50))
-    assert res.status is SolveStatus.DIVERGED
-    assert "diverged" in res.diagnostics or res.diagnostics.get("reason")
+    # sigma = 1e308 overflows the (w, b) system before the first iteration.
+    for ds, C in (
+        (symmetric_pair_dataset(), 1.0),
+        (counterexample_dataset(), COUNTEREXAMPLE_C),
+    ):
+        res = train_admm(build_problem(ds), SolverConfig(C=C, sigma=1e308, max_iter=50))
+        assert res.status is SolveStatus.DIVERGED and res.iterations == 0
+        assert res.diagnostics["reason"] == (
+            "SPD factorization failed: array must not contain infs or NaNs"
+        )
 
 
 def test_oracle_matches_enumeration():
