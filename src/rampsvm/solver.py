@@ -19,7 +19,10 @@ that hold one iterate per row; the result is bit for bit the one a screen
 after every iteration gives.  The state (B z, lambda) fixes every later
 iteration, so a run stops at the first bit-for-bit repeat of it that
 Brent's cycle detection sees, with the MAX_ITER result its full budget
-would give.
+would give.  Each iteration writes its vectors in place and makes one
+finiteness test, on lambda: a non-finite s, u or z carries on into lambda
+in the same iteration, so that one test flags the iterations that tests
+of all of them would.
 
 The global oracle is exact over a (w, b) box for n <= 2: it enumerates the
 O(C(2m + 2d, d)) vertices of the arrangement of kink planes and box facets,
@@ -138,7 +141,12 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
     max_iter, plus the minimal period of the cycle in
     diagnostics["cycle_period"].  A failed SPD factorization or a
     non-finite iterate yields DIVERGED with the trigger recorded in
-    diagnostics, once the iterates before it have been screened.
+    diagnostics, once the iterates before it have been screened.  Only
+    lambda is tested for finiteness, and that flags the same iteration as
+    testing s, z and lambda: a non-finite prox input s gives a non-finite
+    u in both prox regimes, a non-finite z makes every entry of B z
+    non-finite, as B's last column holds the labels, and either makes the
+    feasibility residual, and so lambda, non-finite.
     """
     B = problem.B
     m, n = problem.m, problem.n
@@ -176,6 +184,7 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
     except np.linalg.LinAlgError as exc:
         return diverged(str(exc), 0)
 
+    max_iter = config.max_iter
     Bz = np.zeros(m)  # B @ (w; b) of the current iterate
     lam = np.zeros(m)
     best_worst, best = math.inf, None  # best iterate: (iteration, z, u, lam)
@@ -184,42 +193,53 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
     # 1, 2, 4, 8, ..., and stops at the first state equal to it.
     saved_it, saved_lam, saved_Bz = 0, None, None
     cycle = {}
-    # Iteration i of a block keeps u, the feasibility residual, lam and z
-    # in row i of U, F, L and Z.
-    rows = min(_BLOCK_ROWS, max(1, _BLOCK_SIZE // m), config.max_iter)
+    # Iteration i of a block writes u, the feasibility residual, lam and z
+    # into row i of U, F, L and Z, and its other vectors into lam_s (lam /
+    # sigma), s (the prox input), rhs (the (w,b) right-hand side) and step
+    # (the lam step).
+    rows = min(_BLOCK_ROWS, max(1, _BLOCK_SIZE // m), max_iter)
     U, F, L = np.empty((rows, m)), np.empty((rows, m)), np.empty((rows, m))
     Z = np.empty((rows, n + 1))
+    lam_s, s, rhs, step = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
     it, stop = 0, None
-    while it < config.max_iter and not cycle:
-        # Core phase: the iterations themselves, one at a time.
+    while it < max_iter and not cycle:
+        # Core phase: the iterations themselves, one at a time.  A
+        # non-finite iterate runs on until its lam is tested, so the
+        # arithmetic on it overflows or meets inf - inf silently.
         start, k = it, 0
-        while k < rows and it < config.max_iter:
-            it += 1
-            lam_s = lam / sigma
-            s = 1.0 - Bz - lam_s
-            if not np.isfinite(s).all():
-                stop = f"non-finite iterate at iteration {it}"
-                break
-            u = _prox_primary(s, params, out=U[k])
-            z = K @ (u - 1.0 + lam_s)
-            Bz = B @ z
-            feas = np.add(u, Bz, out=F[k])
-            feas -= 1.0
-            lam = lam + sigma * feas
-            if not (np.isfinite(z).all() and np.isfinite(lam).all()):
-                stop = f"non-finite iterate at iteration {it}"
-                break
-            Z[k], L[k] = z, lam
-            k += 1
-            # A repeated state replays iterations already screened: none of
-            # them can converge, and under the strict < none replaces the
-            # best iterate, so the run ends as the full budget would.
-            lam_bytes = lam.tobytes()
-            if lam_bytes == saved_lam and Bz.tobytes() == saved_Bz:
-                cycle = {"cycle_period": it - saved_it}
-                break
-            if it & (it - 1) == 0:
-                saved_it, saved_lam, saved_Bz = it, lam_bytes, Bz.tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            while k < rows and it < max_iter:
+                it += 1
+                np.divide(lam, sigma, out=lam_s)
+                np.subtract(1.0, Bz, out=s)
+                s -= lam_s
+                u = _prox_primary(s, params, out=U[k])
+                np.subtract(u, 1.0, out=rhs)
+                rhs += lam_s
+                z = np.matmul(K, rhs, out=Z[k])
+                np.matmul(B, z, out=Bz)
+                feas = np.add(u, Bz, out=F[k])
+                feas -= 1.0
+                np.multiply(feas, sigma, out=step)
+                # From m = 4097 up L[k] is also the old lam, read in place.
+                lam = np.add(lam, step, out=L[k])
+                # The one finiteness test (the docstring says why it is
+                # enough).  lam @ lam is finite only if lam is, but a large
+                # finite lam can overflow it; then the entries decide.
+                if not math.isfinite(lam @ lam) and not np.isfinite(lam).all():
+                    stop = f"non-finite iterate at iteration {it}"
+                    break
+                k += 1
+                # A repeated state replays iterations already screened:
+                # none of them can converge, and under the strict < none
+                # replaces the best iterate, so the run ends as the full
+                # budget would.
+                lam_bytes = lam.tobytes()
+                if lam_bytes == saved_lam and Bz.tobytes() == saved_Bz:
+                    cycle = {"cycle_period": it - saved_it}
+                    break
+                if it & (it - 1) == 0:
+                    saved_it, saved_lam, saved_Bz = it, lam_bytes, Bz.tobytes()
         # Screen phase: the residuals of check_pstationary for the block's
         # k rows, each computed only for the rows that can still pass tol
         # or beat the best iterate as it stood at the block's start.  The
@@ -273,7 +293,7 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
         SolveStatus.MAX_ITER,
         point,
         cert,
-        config.max_iter,
+        max_iter,
         {"max_residual": cert.max_residual, "best_iteration": best_it, **cycle},
     )
 

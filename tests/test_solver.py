@@ -1,6 +1,7 @@
 """Trainer, global oracle, and predictor."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -271,34 +272,98 @@ def test_budget_ending_on_convergence():
             assert res.status is status and res.iterations == max_iter
 
 
+def test_best_iterate_earliest_on_ties():
+    # Iterations 419 and 483 screen the same max residual, bit for bit, and
+    # no iteration beats it, so the best iterate is the earlier one; a
+    # non-strict update would return 483.  The run cycles with period 64
+    # from iteration 494.
+    prob = build_problem(gen_synthetic(2, 4.0, 0.1, 35))
+    cfg = SolverConfig(C=1.0, sigma=0.25, tol=1e-8, max_iter=2000)
+    res = _assert_matches_full_budget(prob, cfg, "ties")
+    assert res.status is SolveStatus.MAX_ITER
+    assert res.diagnostics["best_iteration"] == 419
+    assert res.diagnostics["cycle_period"] == 64
+
+
+def test_parity_in_both_prox_regimes():
+    # sigma = C/10 puts the prox in the threshold regime (gamma*C = 10),
+    # sigma = 4C in the shift regime (gamma*C = 1/4).
+    for seed in range(20):
+        prob = _batch_problem(seed)
+        for sigma in (0.1, 4.0):
+            cfg = SolverConfig(C=1.0, sigma=sigma, tol=1e-8, max_iter=2000)
+            _assert_matches_full_budget(prob, cfg, (seed, sigma))
+
+
+def test_finite_multipliers_beyond_the_dot_range():
+    # At C = 1e300 every lam is finite with entries near 1e299, so
+    # lam @ lam overflows; the run must not count that as non-finite.
+    prob = _batch_problem(0)
+    cfg = SolverConfig(C=1e300, tol=1e-8, max_iter=100)
+    res = _assert_matches_full_budget(prob, cfg, "C = 1e300")
+    assert res.status is SolveStatus.MAX_ITER
+    assert np.abs(res.point.lam).max() > 1e299
+
+
 def test_divergence_inside_a_block(monkeypatch):
     # A non-finite iterate at iteration k ends the run with DIVERGED at k,
     # unless an earlier iteration of the same block converges: seed 15
     # converges at iteration 1606, the sixth row of the block that starts
-    # at 1601.
+    # at 1601.  The iterate goes non-finite through u (NaN, +inf, -inf),
+    # through the prox input s, or through z while u stays finite; no run
+    # raises a warning on the way.
     prob = _batch_problem(15)
     cfg = SolverConfig(C=1.0, tol=1e-8)
     clean = train_admm(prob, cfg)
     prox_primary = solver._prox_primary
-    for k in (1, 64, 65, 1600, 1601, 1606, 1607, 1664):
-        calls = []
+    # A finite u along the labels drives b, and so every entry of B z,
+    # beyond the float range; checked here at iteration 1 (lam = 0).
+    big_u = np.finfo(float).max * prob.dataset.y
+    M = cfg.sigma * (prob.B.T @ prob.B)
+    M[np.arange(prob.n), np.arange(prob.n)] += 1.0
+    K = -cfg.sigma * spd_solver(M)(prob.B.T)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(K @ (big_u - 1.0)).all()
+    poisons = (
+        ("u", 0, math.nan),
+        ("u", 0, math.inf),
+        ("u", 0, -math.inf),
+        ("s", 0, math.nan),
+        ("s", 0, -math.inf),
+        ("u", slice(None), big_u),
+    )
+    for p, (target, index, value) in enumerate(poisons):
+        for k in (1, 64, 65, 1600, 1601, 1606, 1607, 1664):
+            calls = []
 
-        def poisoned(s, params, out=None):
-            calls.append(None)
-            u = prox_primary(s, params, out=out)
-            if len(calls) == k:
-                u[0] = math.nan
-            return u
+            def poisoned(s, params, out=None):
+                calls.append(None)
+                hit = len(calls) == k
+                if hit and target == "s":
+                    s[index] = value
+                u = prox_primary(s, params, out=out)
+                if hit and target == "u":
+                    u[index] = value
+                return u
 
-        monkeypatch.setattr(solver, "_prox_primary", poisoned)
-        res = train_admm(prob, cfg)
-        if k <= 1606:
-            assert res.status is SolveStatus.DIVERGED and res.iterations == k
-            assert res.diagnostics["reason"] == f"non-finite iterate at iteration {k}"
-        else:
-            assert (res.status, res.iterations) == (SolveStatus.CONVERGED, 1606)
-            assert _bits(res.point.lam) == _bits(clean.point.lam), k
-            assert res.certificate == clean.certificate, k
+            monkeypatch.setattr(solver, "_prox_primary", poisoned)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = train_admm(prob, cfg)
+            case = (p, k)
+            if k <= 1606:
+                assert res.status is SolveStatus.DIVERGED, case
+                assert res.iterations == k, case
+                assert res.diagnostics["reason"] == (
+                    f"non-finite iterate at iteration {k}"
+                ), case
+            else:
+                assert (res.status, res.iterations) == (
+                    SolveStatus.CONVERGED,
+                    1606,
+                ), case
+                assert _bits(res.point.lam) == _bits(clean.point.lam), case
+                assert res.certificate == clean.certificate, case
 
 
 def test_train_diverged_status():
