@@ -216,14 +216,20 @@ def recover_multiplier(
 
     Returns (lambda, residual) with the infinity-norm residual of
     B^T lambda - (-w; 0); a large residual means no multiplier with this
-    structure makes w stationary.
+    structure makes w stationary.  A non-finite w or b is rejected, as no
+    residual of it would mean anything.
     """
     check_positive("C", C)
     check_positive("region_tol", region_tol)
     w = np.asarray(w, dtype=float)
+    b = float(b)
     if w.shape != (problem.n,):
         raise ValueError(f"w has shape {w.shape}, expected ({problem.n},)")
-    u = 1.0 - problem.A @ w - float(b) * problem.y
+    if not np.isfinite(w).all():
+        raise ValueError("w must be finite")
+    if not math.isfinite(b):
+        raise ValueError("b must be finite")
+    u = 1.0 - problem.A @ w - b * problem.y
     lam = np.zeros(problem.m)
     lam[(u > region_tol) & (u < 1.0 - region_tol)] = -C
     active = np.flatnonzero(np.abs(u) <= region_tol)
@@ -241,6 +247,7 @@ def default_gamma_grid(problem: ProblemData, C: float) -> list[float]:
     """Prox steps probed by grade_point: 0.5/lambda_h when available (the
     regime where stationarity is necessary at global minimizers), plus 2/C
     and 4/C to cover both prox regimes."""
+    check_positive("C", C)
     grid = []
     if problem.lambda_h is not None and problem.lambda_h > 0:
         grid.append(0.5 / problem.lambda_h)

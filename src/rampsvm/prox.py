@@ -20,12 +20,10 @@ s themselves before calling.
 
 prox_scalar and ProxSet are the set-valued reference.  prox_array evaluates
 the same closed form elementwise with the same floats, and prox_distance
-builds ProxSet.distance on it; the trainer and the certificate use these.
-The trainer's prox step calls _prox_primary, the primary branch on which
-prox_array is built, without prox_array's second finiteness check, and its
-r_prox calls _max_prox_distance once per block of iterates, one row each,
-which builds the alternative branch only for a row with an input on the
-tie threshold.
+builds ProxSet.distance on it.  The trainer's screen and the certificate
+both take r_prox from prox_distance; the trainer's prox step calls
+_prox_primary, the primary branch on which prox_array is built, without
+prox_array's finiteness check.
 """
 
 from __future__ import annotations
@@ -126,18 +124,19 @@ def _tie_threshold(gc: float) -> float:
 def _prox_primary(s: np.ndarray, params: ProxParams, out=None) -> np.ndarray:
     """prox_array's primary value for a float array s already known to be
     finite; the trainer's hot path calls it without the input check, into
-    out when given.  In the threshold regime the prox keeps s where
-    s <= 0 or s >= the threshold and zeroes it in between, so it is s times
-    that keep mask, which gives the same floats as nested np.where
-    selections, signed zeros, ties and non-finite s included."""
+    out when given, which may be s itself.  In both regimes it is s times
+    a keep mask that zeroes s on (0, a) and keeps it elsewhere, with a the
+    tie threshold in the threshold regime and gamma*C in the shift regime;
+    the shift regime then subtracts gamma*C on [gamma*C, threshold).  That
+    gives prox_scalar's first value bit for bit, signed zeros and ties
+    included, and a non-finite value for a non-finite s."""
     gc = params.gammaC
     thr = _tie_threshold(gc)
     if gc >= 2.0:
         return np.multiply(s, (s <= 0.0) | (s >= thr), out=out)
-    below = np.where(s >= gc, s - gc, np.where(s > 0.0, 0.0, s))
-    if out is None:
-        return np.where(s >= thr, s, below)
-    np.copyto(out, np.where(s >= thr, s, below))
+    shift = gc * ((s >= gc) & (s < thr))
+    out = np.multiply(s, (s <= 0.0) | (s >= gc), out=out)
+    out -= shift
     return out
 
 
@@ -170,20 +169,3 @@ def prox_distance(u, s, params: ProxParams) -> np.ndarray:
     primary, alternative, _ = prox_array(s, params)
     return np.minimum(np.abs(u - primary), np.abs(u - alternative))
 
-
-def _max_prox_distance(u: np.ndarray, s: np.ndarray, params: ProxParams):
-    """prox_distance(u, s, params).max() bit for bit, for float arrays; for
-    R x m blocks u and s, the same for each row, as an array of R maxima.
-
-    Off the tie threshold the prox is single-valued, so the distance is
-    |u - primary|.  A row with a tie in s, or with a non-finite result,
-    which every non-finite s gives, takes prox_distance itself, so a
-    non-finite s raises its ValueError.
-    """
-    r = np.abs(u - _prox_primary(s, params)).max(axis=-1)
-    redo = ~np.isfinite(r) | (s == _tie_threshold(params.gammaC)).any(axis=-1)
-    if r.ndim == 0:
-        return prox_distance(u, s, params).max() if redo else r
-    for i in np.flatnonzero(redo):
-        r[i] = prox_distance(u[i], s[i], params).max()
-    return r

@@ -47,7 +47,7 @@ from .losses import objective
 from .problem import ProblemData, spd_solver
 # prox_scalar is not called here; it stays a module attribute because
 # bench/tracing.py counts prox_scalar calls by wrapping it in this module.
-from .prox import ProxParams, _max_prox_distance, _prox_primary, prox_scalar  # noqa: F401
+from .prox import ProxParams, _prox_primary, prox_distance, prox_scalar  # noqa: F401
 
 __all__ = [
     "SolverConfig",
@@ -246,7 +246,8 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
         # best only improves during the block, so these rows include every
         # row the per-iteration rules below look at.  r_feas comes from the
         # feasibility residual, r_grad and r_y from g = B^T lam + (w; 0),
-        # whose first n entries and last entry hold them, then r_prox.  g
+        # whose first n entries and last entry hold them, then r_prox from
+        # prox_distance on the rows left, as check_pstationary takes it.  g
         # takes one matrix-vector product per row, as a single iteration
         # does, because a matrix-matrix product may sum in another order.
         r_feas = np.abs(F[:k]).max(axis=1)
@@ -259,7 +260,7 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
         near = (worst_g <= tol) | (worst_g < best_worst)
         rows_p = rows_g[near]
         u_p = U[rows_p]
-        r_prox = _max_prox_distance(u_p, u_p - gamma * L[rows_p], params)
+        r_prox = prox_distance(u_p, u_p - gamma * L[rows_p], params).max(axis=1)
         # The per-iteration rules, in iteration order.
         best_row = None
         for j, worst, r in zip(

@@ -259,10 +259,30 @@ def test_kkt_and_recovery_reject_bad_C(C):
         check_kkt(point, prob, C)
     with pytest.raises(ValueError, match="C must be finite and positive"):
         recover_multiplier(point.w, point.b, prob, C)
+    # 2 / C used to raise ZeroDivisionError at C = 0 and give NaN at NaN.
+    with pytest.raises(ValueError, match="C must be finite and positive"):
+        default_gamma_grid(prob, C)
     # A NaN region_tol used to classify no sample and return lambda = 0.
     for region_tol in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="region_tol must be finite"):
             recover_multiplier(point.w, point.b, prob, 1.0, region_tol)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_recovery_rejects_non_finite_point(bad):
+    # b = inf used to give lambda = 0 with residual 0.0, an exact-looking
+    # recovery; a non-finite w gave lambda = 0 with residual NaN or inf.
+    prob = build_problem(symmetric_pair_dataset())
+    point = symmetric_pair_point()
+    with pytest.raises(ValueError, match="b must be finite"):
+        recover_multiplier(point.w, bad, prob, 1.0)
+    for i in range(prob.n):
+        w = np.array(point.w)
+        w[i] = bad
+        with pytest.raises(ValueError, match="w must be finite"):
+            recover_multiplier(w, point.b, prob, 1.0)
+        with pytest.raises(ValueError, match="w must be finite"):
+            grade_point(w, point.b, prob, 1.0)
 
 
 def test_default_gamma_grid_contents():

@@ -215,6 +215,28 @@ def test_certify_dimension_error(capsys, counterexample_csv):
     assert code == 2
 
 
+@pytest.mark.parametrize("with_lambda", [False, True])
+def test_certify_rejects_zero_C(capsys, counterexample_csv, with_lambda):
+    # The default gamma grid divides by C, which used to end in a
+    # ZeroDivisionError traceback and exit 1.
+    point = counterexample_point()
+    argv = [
+        "certify",
+        "--data", str(counterexample_csv),
+        "--w", ",".join(repr(float(v)) for v in point.w),
+        "--b=" + repr(float(point.b)),
+        "--C=0",
+    ]
+    if with_lambda:
+        argv.append("--lambda=" + ",".join(repr(float(v)) for v in point.lam))
+    capsys.readouterr()
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "C must be finite and positive" in captured.err
+
+
 def test_prox_eval_matches_library(capsys):
     code, out = run_cli(
         capsys, "prox-eval", "--s", "1.5,0.5,-2", "--gamma", "1.0", "--C", "1.0"

@@ -14,7 +14,7 @@ from rampsvm import (
     prox_distance,
     prox_scalar,
 )
-from rampsvm.prox import _max_prox_distance, _prox_primary
+from rampsvm.prox import _prox_primary
 
 # (s, gammaC) -> expected values, worked out by hand from the two closed
 # forms.  Shift regime (gammaC < 2): stay above 1 + gammaC/2, shift down by
@@ -178,6 +178,29 @@ def test_prox_array_matches_scalar_at_boundaries(gamma, C):
     primary, alternative, _ = prox_array(np.array(s), params)
     for u in (primary, alternative, np.array(s) + 0.25, -np.array(s)):
         _assert_matches_scalar(s, list(u), params)
+    # Rows of one width, stacked into R x m blocks: each row of the 2-d
+    # distance's max is the 1-d result bit for bit.  Row 2 has a tie and
+    # the alternative member as u, at distance 0 only through the tie; rows
+    # 4, 5 and 6 have u = inf, NaN and -inf.
+    gc = params.gammaC
+    thr = 1.0 + gc / 2.0 if gc < 2.0 else math.sqrt(2.0 * gc)
+    rng = np.random.default_rng(11)
+    rows = [rng.uniform(-2.0, 2.0 * thr, (2, 6)) for _ in range(7)]
+    rows[2][1, 3] = thr
+    rows[2][0] = prox_array(rows[2][1], params)[1]
+    rows[4][0, 0] = math.inf
+    rows[5][0, 5] = math.nan
+    rows[6][0, 1] = -math.inf
+    for u, s_row in rows:
+        _assert_matches_scalar(list(s_row), list(u), params)
+    for block in (rows[:2], rows, rows[2:3]):
+        U = np.stack([u for u, _ in block])
+        S = np.stack([s_row for _, s_row in block])
+        got = prox_distance(U, S, params).max(axis=1)
+        assert got.shape == (len(block),)
+        for g, u, s_row in zip(got, U, S):
+            assert _bits(g) == _bits(prox_distance(u, s_row, params).max())
+    assert prox_distance(*rows[2], params).max() == 0.0
 
 
 @st.composite
@@ -204,8 +227,8 @@ def test_prox_array_matches_scalar(case):
 
 
 def _nested_where_primary(s, params):
-    """The primary branch as two nested np.where selections, the form
-    _prox_primary's threshold-regime keep mask replaced."""
+    """The primary branch as nested np.where selections, the form
+    _prox_primary's keep mask replaced in both regimes."""
     gc = params.gammaC
     thr = 1.0 + gc / 2.0 if gc < 2.0 else math.sqrt(2.0 * gc)
     if gc < 2.0:
@@ -221,9 +244,9 @@ def test_prox_primary_matches_prox_array(gamma, C):
     # value, and the scalar reference's first value, bit for bit: at the
     # signed zeros and subnormals, gamma*C, the tie threshold and the floats
     # on either side of it, and on random arrays; also when written into
-    # out.  On +-inf and NaN, which prox_array rejects, it gives the
-    # nested-where form's values, which _max_prox_distance's fallback
-    # relies on to see a non-finite argument.
+    # out, s itself included.  On +-inf and NaN, which prox_array
+    # rejects, it gives the nested-where form's values, a non-finite u
+    # that the trainer's one finiteness test relies on.
     params = ProxParams(gamma, C)
     gc = params.gammaC
     thr = 1.0 + gc / 2.0 if gc < 2.0 else math.sqrt(2.0 * gc)
@@ -238,63 +261,13 @@ def test_prox_primary_matches_prox_array(gamma, C):
         out = np.full(arr.shape, np.nan)
         assert _prox_primary(arr, params, out=out) is out
         assert out.tobytes() == got.tobytes(), arr
+        out[:] = arr
+        assert _prox_primary(out, params, out=out) is out
+        assert out.tobytes() == got.tobytes(), arr
     bad = np.array([math.inf, -math.inf, math.nan, -math.nan, 0.5, -1.0])
     got = _prox_primary(bad, params)
     assert got.tobytes() == _nested_where_primary(bad, params).tobytes()
     assert np.isinf(got[:2]).all() and np.isnan(got[2:4]).all()
-
-
-@pytest.mark.parametrize("gamma, C", ARRAY_PARAMS)
-def test_max_prox_distance_matches_prox_distance(gamma, C):
-    # The trainer's r_prox equals prox_distance(...).max() bit for bit: on
-    # random (u, s) in both regimes, with s at the tie threshold, at the
-    # floats on either side of it and at the signed zeros, and with u on
-    # either member of the prox set at a tie.  An R x m block gives each
-    # row's 1-d result, tie rows and rows with a non-finite u included.
-    params = ProxParams(gamma, C)
-    gc = params.gammaC
-    thr = 1.0 + gc / 2.0 if gc < 2.0 else math.sqrt(2.0 * gc)
-    below_thr = thr - gc if gc < 2.0 else 0.0
-    rng = np.random.default_rng(11)
-    specials = [-0.0, 0.0, gc] + [_step_ulps(thr, k) for k in (-1, 0, 1)]
-    cases = []
-    for _ in range(30):
-        s = rng.uniform(-2.0, 2.0 * thr, 40)
-        cases.append((rng.uniform(-2.0, 2.0 * thr, 40), s))
-        cases.append((_prox_primary(s, params), s))
-    for u_tie in (thr, below_thr, -0.0, 0.0, 0.5 * (thr + below_thr)):
-        s = np.array(specials)
-        cases.append((np.full(s.shape, u_tie), s))
-        cases.append((np.array([u_tie]), np.array([thr])))
-    # u on the alternative member: the distance is 0 only through the tie.
-    for s in (np.array(specials), rng.uniform(-2.0, 2.0 * thr, 10)):
-        s = np.concatenate((s, [thr]))
-        cases.append((prox_array(s, params)[1], s))
-    cases.append((np.array([-0.0, 0.0]), np.array([0.0, -0.0])))
-    for bad in (math.inf, -math.inf, math.nan):
-        s = rng.uniform(-2.0, 2.0 * thr, 6)
-        cases.append((np.concatenate(([bad], s[1:])), s))
-    for u, s in cases:
-        want = prox_distance(u, s, params).max()
-        got = _max_prox_distance(u, s, params)
-        assert type(got) is type(want)
-        assert _bits(got) == _bits(want), (u, s)
-    # Rows of one width, stacked into blocks: one with random rows only, one
-    # with a tie row and a non-finite row among them, and a single row.
-    rows = [rng.uniform(-2.0, 2.0 * thr, (2, 6)) for _ in range(6)]
-    # The tie row's u is the alternative member, at distance 0 only
-    # through the tie.
-    rows[2][1, 3] = thr
-    rows[2][0] = prox_array(rows[2][1], params)[1]
-    rows[4][0, 0] = math.inf
-    rows[5][0, 5] = math.nan
-    for block in (rows[:2], rows, rows[2:3]):
-        U = np.stack([u for u, _ in block])
-        S = np.stack([s for _, s in block])
-        got = _max_prox_distance(U, S, params)
-        assert got.shape == (len(block),)
-        for g, u, s in zip(got, U, S):
-            assert _bits(g) == _bits(_max_prox_distance(u, s, params)), (u, s)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -305,9 +278,7 @@ def test_prox_array_rejects_non_finite(bad):
     with pytest.raises(ValueError):
         prox_distance(np.zeros(2), np.array([0.5, bad]), params)
     with pytest.raises(ValueError, match="prox needs finite arguments"):
-        _max_prox_distance(np.zeros(2), np.array([0.5, bad]), params)
-    with pytest.raises(ValueError, match="prox needs finite arguments"):
-        _max_prox_distance(np.zeros((2, 2)), np.array([[0.5, 0.5], [0.5, bad]]), params)
+        prox_distance(np.zeros((2, 2)), np.array([[0.5, 0.5], [0.5, bad]]), params)
     with pytest.raises(ValueError):
         prox_scalar(bad, params)
 

@@ -1,5 +1,7 @@
-"""README drift: the module map names real exports, the example runs."""
+"""README drift: the module map names real exports, the example runs;
+and no private helper in the package is left without a caller."""
 
+import ast
 import contextlib
 import importlib
 import io
@@ -8,7 +10,8 @@ from pathlib import Path
 
 import rampsvm
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 IDENTIFIER = re.compile(r"`([A-Za-z_]\w*)`")
 
 
@@ -44,3 +47,42 @@ def test_library_example_prints_what_it_promises():
     for line, match in zip(printed, promised):
         if match:
             assert line == match.group(1)
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_unreferenced_private_helpers():
+    # A module-level private function, class or constant must be named by
+    # some Name, Attribute or import alias in the package; docstrings and
+    # comments do not count, and neither do the definitions themselves.
+    defined, used = {}, set()
+    for path in sorted((ROOT / "src" / "rampsvm").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                names = [
+                    n.id
+                    for t in targets
+                    for n in ast.walk(t)
+                    if isinstance(n, ast.Name)
+                ]
+            else:
+                names = []
+            for name in filter(_is_private, names):
+                defined[name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.asname or node.name)
+                used.add(node.name)
+    assert defined, "no private helpers found; is the source path right?"
+    dead = sorted(f"{mod}: {name}" for name, mod in defined.items() if name not in used)
+    assert not dead, dead
