@@ -13,11 +13,17 @@ inclusion: -lambda_i/C must lie in the ramp subdifferential at u_i.  Every
 P-stationary point is a KKT point; the converse fails, and the shipped
 three-point counterexample fixture demonstrates it.
 
+The steps gamma that can satisfy the inclusion follow from the prox closed
+form, one margin class at a time (admissible_steps): Gamma = (0, gamma_max],
+empty exactly when a sample sits on the upper kink u = 1.  certify_point
+derives the one verdict every caller reports: KKT holds, Gamma is nonempty,
+and the residuals pass at one step gamma* in Gamma.
+
 Points carrying only (w, b) are graded by taking u from the feasibility
 constraint and lambda from region-structured recovery (recover_multiplier):
 the margins fix lambda_i off the margin hyperplanes, and least squares
-solves only for the on-margin components.  certify_point derives the one
-verdict every caller reports.
+solves only for the on-margin components.  check_kkt, recover_multiplier
+and admissible_steps share one margin classifier, each at its own tolerance.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ __all__ = [
     "check_kkt",
     "certify_point",
     "recover_multiplier",
-    "default_gamma_grid",
+    "admissible_steps",
     "grade_point",
 ]
 
@@ -141,6 +147,20 @@ def _shared_residuals(
     return r_grad, r_y, r_feas
 
 
+# Margin classes of a sample, by u = 1 - <a_i, w> - b y_i.
+_BELOW, _LOWER_KINK, _BAND, _UPPER_KINK, _BEYOND = range(5)
+
+
+def _classify(u: np.ndarray, tol: float) -> np.ndarray:
+    """Class of each margin: on a kink when within tol of 0 or of 1 (the
+    lower kink where both hold), else below 0, inside the band (0, 1), or
+    beyond 1."""
+    cls = np.where(u < 0.0, _BELOW, np.where(u < 1.0, _BAND, _BEYOND))
+    cls[np.abs(u - 1.0) <= tol] = _UPPER_KINK
+    cls[np.abs(u) <= tol] = _LOWER_KINK
+    return cls
+
+
 def check_pstationary(
     point: PrimalDualPoint,
     problem: ProblemData,
@@ -182,14 +202,12 @@ def check_kkt(
     check_positive("C", C)
     _check_dims(point, problem)
     r_grad, r_y, r_feas = _shared_residuals(point, problem)
-    # Admissible [lo, hi] for lambda_i: u_i within tol of 0 or 1 counts as
-    # on the breakpoint, where all of [-C, 0] is admissible; strictly inside
-    # (0, 1) forces exactly -C; outside [0, 1] forces exactly 0.
-    u, lam = point.u, point.lam
-    kink = (np.abs(u) <= tol) | (np.abs(u - 1.0) <= tol)
-    band = ~kink & (u > 0.0) & (u < 1.0)
-    lo = np.where(kink | band, -C, 0.0)
-    hi = np.where(band, -C, 0.0)
+    # Admissible [lo, hi] for lambda_i: on either kink all of [-C, 0];
+    # inside the band exactly -C; below or beyond it exactly 0.
+    lam = point.lam
+    cls = _classify(point.u, tol)
+    lo = np.where((cls == _BELOW) | (cls == _BEYOND), 0.0, -C)
+    hi = np.where(cls == _BAND, -C, 0.0)
     r_mult = float(np.maximum(lo - lam, lam - hi).max(initial=0.0))
     passed = max(r_grad, r_y, r_feas, r_mult) <= tol
     return KKTCheck(passed, r_grad, r_y, r_feas, r_mult)
@@ -209,10 +227,10 @@ def recover_multiplier(
     whose stationarity structure forces lambda_i = 0; such a lambda rarely
     certifies anything.  This recovery first fixes the components that the
     margins u = 1 - Aw - by determine: lambda_i = 0 where u_i is outside
-    [0, 1] (beyond region_tol), lambda_i = -C strictly inside the band
-    (0, 1), and only the on-margin components (|u_i| <= region_tol) are
-    left free.  Those are solved by least squares on the remaining system,
-    which is generically square or overdetermined.
+    [0, 1] or on the upper kink (|u_i - 1| <= region_tol), lambda_i = -C
+    strictly inside the band (0, 1), and only the on-margin components
+    (|u_i| <= region_tol) are left free.  Those are solved by least squares
+    on the remaining system, which is generically square or overdetermined.
 
     Returns (lambda, residual) with the infinity-norm residual of
     B^T lambda - (-w; 0); a large residual means no multiplier with this
@@ -229,10 +247,9 @@ def recover_multiplier(
         raise ValueError("w must be finite")
     if not math.isfinite(b):
         raise ValueError("b must be finite")
-    u = 1.0 - problem.A @ w - b * problem.y
-    lam = np.zeros(problem.m)
-    lam[(u > region_tol) & (u < 1.0 - region_tol)] = -C
-    active = np.flatnonzero(np.abs(u) <= region_tol)
+    cls = _classify(1.0 - problem.A @ w - b * problem.y, region_tol)
+    lam = np.where(cls == _BAND, -C, 0.0)
+    active = np.flatnonzero(cls == _LOWER_KINK)
     rhs = np.concatenate((-w, [0.0])) - problem.B.T @ lam
     if active.size:
         sol, *_ = np.linalg.lstsq(problem.B.T[:, active], rhs, rcond=None)
@@ -243,43 +260,69 @@ def recover_multiplier(
     return lam, resid
 
 
-def default_gamma_grid(problem: ProblemData, C: float) -> list[float]:
-    """Prox steps probed by grade_point: 0.5/lambda_h when available (the
-    regime where stationarity is necessary at global minimizers), plus 2/C
-    and 4/C to cover both prox regimes."""
+def admissible_steps(
+    point: PrimalDualPoint, C: float, tol: float = DEFAULT_TOL
+) -> float:
+    """The admissible prox steps: every gamma > 0 with
+    u_i in prox_gamma(u_i - gamma*lambda_i) for all i.
+
+    The set is Gamma = (0, gamma_max]; this returns gamma_max, 0.0 when
+    Gamma is empty and inf when every step works.  lambda is taken to have
+    the KKT structure (check_kkt); for any other lambda no step works, as
+    every P-stationary point is a KKT point.  Per margin class, at
+    tolerance tol, the prox closed form admits, ties included:
+
+    * below 0 (lambda_i = 0): every step;
+    * lower kink, lambda_i in [-C, 0]: gamma <= 2C/lambda_i^2, which is
+      never below 2/C;
+    * band (0, 1), lambda_i = -C: gamma <= 2(1 - u_i)/C, below 2/C;
+    * upper kink: no step;
+    * beyond 1 (lambda_i = 0): gamma <= 2(u_i - 1)/C, below 2/C, for
+      u_i < 2; from u_i = 2 on, gamma <= u_i^2/(2C).
+
+    So Gamma = (0, gamma_shift] U [2/C, gamma_thr] for the two prox regimes,
+    and a sample whose bound falls below 2/C admits no step from 2/C on:
+    the union is one interval.
+    """
     check_positive("C", C)
-    grid = []
-    if problem.lambda_h is not None and problem.lambda_h > 0:
-        grid.append(0.5 / problem.lambda_h)
-    grid.extend([2.0 / C, 4.0 / C])
-    return grid
+    check_positive("tol", tol)
+    u, lam = point.u, point.lam
+    cls = _classify(u, tol)
+    with np.errstate(divide="ignore", over="ignore"):
+        kink = 2.0 * C / (lam * lam)
+        beyond = np.where(u < 2.0, 2.0 * (u - 1.0) / C, u * u / (2.0 * C))
+    bound = np.choose(cls, (np.inf, kink, 2.0 * (1.0 - u) / C, 0.0, beyond))
+    return float(bound.min(initial=np.inf))
 
 
 def certify_point(
     point: PrimalDualPoint,
     problem: ProblemData,
     C: float,
-    gammas,
     tol: float = DEFAULT_TOL,
-) -> tuple[list[Certificate], KKTCheck, Verdict]:
-    """Certify a candidate at every prox step in gammas and check KKT.
+) -> tuple[Certificate, KKTCheck, float]:
+    """The one verdict rule.
 
-    Returns the per-gamma certificates, the KKT check and the verdict:
-    P_STATIONARY if any gamma passes, else KKT_ONLY if the KKT system
-    holds, else NEITHER.
+    P_STATIONARY when the KKT system holds, the admissible set
+    Gamma = (0, gamma_max] is nonempty, and the residuals pass at
+    gamma* in Gamma: 2/C, the step of the margin geometry, when Gamma
+    holds it, else gamma_max/2, off the tie bound.  Otherwise KKT_ONLY if
+    the KKT system holds, else NEITHER.
+
+    Returns the certificate at gamma* (at 2/C when Gamma is empty) carrying
+    that verdict, the KKT check, and gamma_max.
     """
-    gammas = list(gammas)
-    if not gammas:
-        raise ValueError("gamma list must be nonempty")
-    certs = [check_pstationary(point, problem, C, g, tol) for g in gammas]
     kkt = check_kkt(point, problem, C, tol)
-    if any(c.verdict is Verdict.P_STATIONARY for c in certs):
+    gamma_max = admissible_steps(point, C, tol)
+    gamma = gamma_max / 2.0 if 0.0 < gamma_max < 2.0 / C else 2.0 / C
+    cert = check_pstationary(point, problem, C, gamma, tol)
+    if kkt.passed and gamma_max > 0.0 and cert.verdict is Verdict.P_STATIONARY:
         verdict = Verdict.P_STATIONARY
     elif kkt.passed:
         verdict = Verdict.KKT_ONLY
     else:
         verdict = Verdict.NEITHER
-    return certs, kkt, verdict
+    return replace(cert, verdict=verdict), kkt, gamma_max
 
 
 def grade_point(
@@ -287,24 +330,19 @@ def grade_point(
     b: float,
     problem: ProblemData,
     C: float,
-    gamma_list=None,
     tol: float = DEFAULT_TOL,
 ) -> Certificate:
     """Grade a primal point with the verdict of certify_point.
 
     u comes from the feasibility constraint and lambda from
-    recover_multiplier.  The returned certificate carries the first passing
-    gamma, or the gamma with the smallest worst residual when nothing
-    passes.  A non-passing verdict only says "not P-stationary at the
-    probed steps"; it is not a proof that no step works.
+    recover_multiplier.  The returned certificate is certify_point's, at
+    its step gamma*.  The admissible steps are known exactly, so a KKT point
+    that fails is not failed by the choice of a step: either no step is
+    admissible, or the residuals miss tol at gamma*, inside the admissible
+    set.
     """
     lam, _ = recover_multiplier(w, b, problem, C)
     w = np.asarray(w, dtype=float)
     u = 1.0 - problem.A @ w - float(b) * problem.y
     point = PrimalDualPoint(w=w, b=b, u=u, lam=lam)
-    if gamma_list is None:
-        gamma_list = default_gamma_grid(problem, C)
-    certs, _, verdict = certify_point(point, problem, C, gamma_list, tol)
-    if verdict is Verdict.P_STATIONARY:
-        return next(c for c in certs if c.verdict is verdict)
-    return replace(min(certs, key=lambda c: c.max_residual), verdict=verdict)
+    return certify_point(point, problem, C, tol)[0]

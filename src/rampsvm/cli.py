@@ -21,8 +21,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import platform
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,12 +38,9 @@ from .certify import (
     PrimalDualPoint,
     Verdict,
     certify_point,
-    default_gamma_grid,
+    check_pstationary,
     recover_multiplier,
 )
-# check_pstationary is not called here; it stays a module attribute because
-# bench/tracing.py times check_pstationary calls by wrapping it in this module.
-from .certify import check_pstationary  # noqa: F401
 from .datasets import (
     COUNTEREXAMPLE_C,
     DataFormat,
@@ -222,6 +221,16 @@ def cmd_train(args) -> int:
     return _expect_exit(args, res.certificate.verdict)
 
 
+def _stationarity(point, problem, C, gammas, gamma_max) -> list[Certificate]:
+    """check_pstationary at each step; a step outside the admissible set
+    (0, gamma_max] never reads p-stationary, whatever its residuals."""
+    certs = [check_pstationary(point, problem, C, g, DEFAULT_TOL) for g in gammas]
+    return [
+        c if c.gamma <= gamma_max else replace(c, verdict=Verdict.NEITHER)
+        for c in certs
+    ]
+
+
 def cmd_certify(args) -> int:
     dataset = parse_dataset(args.data, DataFormat.CSV)
     problem = build_problem(dataset)
@@ -230,8 +239,12 @@ def cmd_certify(args) -> int:
         raise ValueError(
             f"--w has {w.size} entries, dataset has {problem.n} features"
         )
+    # Before u = 1 - A w - b y, which would carry a non-finite w or b into u.
+    if not np.isfinite(w).all():
+        raise ValueError("w must be finite")
+    if not math.isfinite(args.b):
+        raise ValueError("b must be finite")
     C = args.C
-    gammas = args.gammas if args.gammas else default_gamma_grid(problem, C)
     u = 1.0 - problem.A @ w - args.b * problem.y
     mult_residual = None
     if args.lam is not None:
@@ -243,28 +256,33 @@ def cmd_certify(args) -> int:
     else:
         lam, mult_residual = recover_multiplier(w, args.b, problem, C)
     point = PrimalDualPoint(w=w, b=args.b, u=u, lam=lam)
-    certs, kkt, verdict = certify_point(point, problem, C, gammas, DEFAULT_TOL)
+    cert, kkt, gamma_max = certify_point(point, problem, C, DEFAULT_TOL)
+    gammas = args.gammas if args.gammas else [cert.gamma]
     digest = _digest(
         args.data,
         w=_floats(w),
         b=args.b,
         C=C,
-        gammas=list(gammas),
+        gammas=args.gammas,
         lam=None if args.lam is None else _floats(args.lam),
     )
     report = {
         "problem": _problem_dict(problem),
         "params": {"C": C, "gammas": list(gammas), "tol": DEFAULT_TOL},
         "result": {
-            "verdict": verdict.value,
-            "stationarity": [_cert_dict(c) for c in certs],
+            "verdict": cert.verdict.value,
+            "gamma_max": None if math.isinf(gamma_max) else gamma_max,
+            "stationarity": [
+                _cert_dict(c)
+                for c in _stationarity(point, problem, C, gammas, gamma_max)
+            ],
             "kkt": _kkt_dict(kkt),
             "point": _point_dict(point),
             "multiplier_residual": mult_residual,
         },
     }
     _emit(args, digest, report)
-    return _expect_exit(args, verdict)
+    return _expect_exit(args, cert.verdict)
 
 
 def cmd_prox_eval(args) -> int:
@@ -335,20 +353,20 @@ def cmd_counterexample(args) -> int:
     problem = build_problem(dataset)
     point = counterexample_point()
     C = COUNTEREXAMPLE_C
-    certs, kkt, verdict = certify_point(point, problem, C, gammas, DEFAULT_TOL)
+    cert, kkt, gamma_max = certify_point(point, problem, C, DEFAULT_TOL)
     stationarity = []
-    for cert in certs:
-        s = point.u - cert.gamma * point.lam
-        entry = _cert_dict(cert)
+    for row in _stationarity(point, problem, C, gammas, gamma_max):
+        s = point.u - row.gamma * point.lam
+        entry = _cert_dict(row)
         entry["prox_distances"] = _floats(
-            prox_distance(point.u, s, ProxParams(cert.gamma, C))
+            prox_distance(point.u, s, ProxParams(row.gamma, C))
         )
         stationarity.append(entry)
     report = {
         "problem": _problem_dict(problem),
         "params": {"C": C, "gammas": list(gammas), "tol": DEFAULT_TOL},
         "result": {
-            "verdict": verdict.value,
+            "verdict": cert.verdict.value,
             "kkt": _kkt_dict(kkt),
             "stationarity": stationarity,
             "point": _point_dict(point),

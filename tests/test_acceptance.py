@@ -198,6 +198,9 @@ def test_criterion_05_necessity_at_global_minimizers():
         assert cert.verdict is Verdict.P_STATIONARY, (
             f"instance {k}: residual {cert.max_residual:.3e} at gamma {gamma:.4f}"
         )
+        # The one verdict rule, at its own step and tol, agrees.
+        graded = grade_point(w, b, prob, C)
+        assert graded.verdict is Verdict.P_STATIONARY, f"instance {k}: {graded}"
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"took {elapsed:.1f}s, budget 60s"
     print(f"criterion 5 PASS: 50 global minimizers certified, worst residual {worst:.2e}, {elapsed:.1f}s")

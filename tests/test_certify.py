@@ -1,4 +1,7 @@
-"""Stationarity certification: P-stationary, KKT, multiplier recovery."""
+"""Stationarity certification: P-stationary, KKT, multiplier recovery,
+the admissible prox steps and the one verdict rule."""
+
+import math
 
 import numpy as np
 import pytest
@@ -9,14 +12,19 @@ from rampsvm import (
     Certificate,
     Dataset,
     PrimalDualPoint,
+    ProxParams,
     Verdict,
+    admissible_steps,
     build_problem,
+    certify_point,
     check_kkt,
     check_pstationary,
     counterexample_dataset,
     counterexample_point,
-    default_gamma_grid,
+    gen_synthetic,
+    global_oracle,
     grade_point,
+    prox_scalar,
     recover_multiplier,
     single_point_dataset,
     single_point_point,
@@ -53,9 +61,17 @@ def test_counterexample_kkt_but_not_pstationary():
 
 
 def test_counterexample_grade_is_kkt_only():
+    # Its middle sample sits at u = 1, which admits no prox step.  At small
+    # steps the four residuals alone fall within tol (r_prox = gamma*C),
+    # which used to certify it.
     prob = build_problem(counterexample_dataset())
     point = counterexample_point()
-    cert = grade_point(point.w, point.b, prob, COUNTEREXAMPLE_C)
+    C = COUNTEREXAMPLE_C
+    assert check_pstationary(point, prob, C, 1e-12).verdict is Verdict.P_STATIONARY
+    cert, kkt, gamma_max = certify_point(point, prob, C)
+    assert kkt.passed and gamma_max == 0.0
+    assert cert.verdict is Verdict.KKT_ONLY
+    cert = grade_point(point.w, point.b, prob, C)
     assert cert.verdict is Verdict.KKT_ONLY
     assert isinstance(cert, Certificate)
 
@@ -150,7 +166,7 @@ def _scalar_recover_multiplier(w, b, prob, C, region_tol):
     for i, u_i in enumerate(u):
         if abs(u_i) <= region_tol:
             active.append(i)
-        elif region_tol < u_i < 1.0 - region_tol:
+        elif 0.0 < u_i < 1.0 and abs(u_i - 1.0) > region_tol:
             lam[i] = -C
     target = np.concatenate((-w, [0.0]))
     if active:
@@ -259,9 +275,9 @@ def test_kkt_and_recovery_reject_bad_C(C):
         check_kkt(point, prob, C)
     with pytest.raises(ValueError, match="C must be finite and positive"):
         recover_multiplier(point.w, point.b, prob, C)
-    # 2 / C used to raise ZeroDivisionError at C = 0 and give NaN at NaN.
+    # Every bound of the admissible set divides by C or multiplies by it.
     with pytest.raises(ValueError, match="C must be finite and positive"):
-        default_gamma_grid(prob, C)
+        admissible_steps(point, C)
     # A NaN region_tol used to classify no sample and return lambda = 0.
     for region_tol in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="region_tol must be finite"):
@@ -283,15 +299,6 @@ def test_recovery_rejects_non_finite_point(bad):
             recover_multiplier(w, point.b, prob, 1.0)
         with pytest.raises(ValueError, match="w must be finite"):
             grade_point(w, point.b, prob, 1.0)
-
-
-def test_default_gamma_grid_contents():
-    prob = build_problem(counterexample_dataset())
-    grid = default_gamma_grid(prob, C=0.25)
-    assert grid[0] == pytest.approx(0.5 / prob.lambda_h)
-    assert 2.0 / 0.25 in grid and 4.0 / 0.25 in grid
-    short = build_problem(single_point_dataset())
-    assert default_gamma_grid(short, C=1.0) == [2.0, 4.0]
 
 
 def test_certificate_residuals_nonnegative():
@@ -328,3 +335,91 @@ def test_dimension_mismatch_rejected():
         )
     with pytest.raises(ValueError):
         check_pstationary(good, prob, COUNTEREXAMPLE_C, gamma=-1.0)
+
+
+# Powers of two, and margins and multipliers on a 1/16 grid, keep every sum,
+# product and closed-form bound exact, so the sweep lands on the tie bounds.
+_STEPS = [2.0**k for k in range(-14, 13)]
+
+
+def _class_samples(C):
+    """(u_i, lambda_i) with the KKT structure: margins below 0, inside the
+    band and beyond 1 with their forced multiplier, both kinks with a grid
+    of multipliers in [-C, 0]."""
+    samples = []
+    for k in range(-16, 65):
+        u = k / 16.0
+        if u in (0.0, 1.0):
+            samples += [(u, -C * j / 8.0) for j in range(9)]
+        else:
+            samples.append((u, -C if 0.0 < u < 1.0 else 0.0))
+    return samples
+
+
+def _prox_fixed(u_i, lam_i, gamma, C):
+    """The set-valued reference: u_i is a member of prox(u_i - gamma*lam_i)."""
+    s = u_i - gamma * lam_i
+    return prox_scalar(s, ProxParams(gamma, C)).distance(u_i) == 0.0
+
+
+def _point(u, lam):
+    return PrimalDualPoint(w=[0.0], b=0.0, u=u, lam=lam)
+
+
+def test_admissible_steps_match_set_valued_prox():
+    rng = np.random.default_rng(31)
+    ties = 0
+    for C in (0.25, 0.5, 1.0, 2.0, 4.0):
+        samples = _class_samples(C)
+        bounds = []
+        for u_i, lam_i in samples:
+            gamma_max = admissible_steps(_point([u_i], [lam_i]), C)
+            bounds.append(gamma_max)
+            for gamma in _STEPS:
+                fixed = _prox_fixed(u_i, lam_i, gamma, C)
+                assert (gamma <= gamma_max) == fixed, (C, u_i, lam_i, gamma)
+                ties += fixed and gamma == gamma_max
+        # Several samples at once: the set is the intersection.
+        for _ in range(100):
+            idx = rng.choice(len(samples), size=4, replace=False)
+            u, lam = zip(*(samples[i] for i in idx))
+            gamma_max = admissible_steps(_point(u, lam), C)
+            assert gamma_max == min(bounds[i] for i in idx)
+            for gamma in _STEPS:
+                fixed = all(_prox_fixed(a, b, gamma, C) for a, b in zip(u, lam))
+                assert (gamma <= gamma_max) == fixed
+    assert ties > 0, "no step landed on a bound"
+
+
+def test_upper_kink_admits_no_step():
+    tol = 1e-6
+    for C in (0.25, 1.0, 4.0):
+        for u_i in (1.0 - tol / 2, 1.0, 1.0 + tol / 2):
+            for lam_i in (-C, -C / 2, 0.0):
+                point = _point([-1.0, u_i, 0.5], [0.0, lam_i, -C])
+                assert admissible_steps(point, C, tol) == 0.0
+    # Nothing binds: every step works.
+    assert admissible_steps(_point([-2.0, 0.0], [0.0, 0.0]), 1.0) == math.inf
+
+
+def test_criterion_8_minimizers_grade_pstationary():
+    # Criterion 8's clean and outlier global minimizers of seeds 100-102.
+    # On seed 100 the margin u = 0.4055 sits inside the band, so only
+    # gamma <= 2(1 - u)/C = 1.19 certifies it; gamma* is half of that.
+    C = 1.0
+    for seed in (100, 101, 102):
+        clean = gen_synthetic(4, 3.0, 0.0, seed)
+        augmented = Dataset(
+            X=np.vstack([clean.X, [[-30.0, 0.0]]]), y=np.append(clean.y, 1.0)
+        )
+        wb = math.sqrt(2.0 * C * (clean.m + 1)) + 0.5
+        bb = 1.0 + float(np.linalg.norm(augmented.X, axis=1).max()) * wb + 0.5
+        bounds = ((-wb, wb), (-wb, wb), (-bb, bb))
+        for ds in (clean, augmented):
+            prob = build_problem(ds)
+            w, b, _ = global_oracle(prob, C, bounds=bounds)
+            cert = grade_point(w, b, prob, C)
+            assert cert.verdict is Verdict.P_STATIONARY, (seed, cert)
+            assert cert.max_residual <= 1e-12
+            if seed == 100:
+                assert cert.gamma == pytest.approx(0.5945, abs=1e-4)

@@ -166,9 +166,10 @@ def test_certify_fixture_point(capsys, counterexample_csv):
     report = json.loads(out)
     assert report["result"]["verdict"] == "kkt-only"
     assert report["result"]["kkt"]["passed"] is True
-    assert all(
-        c["verdict"] != "p-stationary" for c in report["result"]["stationarity"]
-    )
+    assert report["result"]["gamma_max"] == 0.0
+    # Without --gammas the one row is the verdict's own step, 2/C here.
+    [row] = report["result"]["stationarity"]
+    assert row["gamma"] == 8.0 and row["verdict"] == "neither"
 
 
 def test_certify_expect_failure_exit_code(capsys, counterexample_csv):
@@ -217,8 +218,8 @@ def test_certify_dimension_error(capsys, counterexample_csv):
 
 @pytest.mark.parametrize("with_lambda", [False, True])
 def test_certify_rejects_zero_C(capsys, counterexample_csv, with_lambda):
-    # The default gamma grid divides by C, which used to end in a
-    # ZeroDivisionError traceback and exit 1.
+    # The bounds of the admissible steps divide by C; a division by zero
+    # there would end in a traceback and exit 1.
     point = counterexample_point()
     argv = [
         "certify",
@@ -235,6 +236,68 @@ def test_certify_rejects_zero_C(capsys, counterexample_csv, with_lambda):
     assert code == 2
     assert captured.out == ""
     assert "C must be finite and positive" in captured.err
+
+
+@pytest.mark.parametrize("with_lambda", [False, True])
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+def test_certify_rejects_non_finite_point(
+    capsys, counterexample_csv, with_lambda, bad
+):
+    # u = 1 - A w - b y used to be formed first, so with --lambda a
+    # non-finite b was reported as "u must be finite".
+    point = counterexample_point()
+    w_arg = ",".join(repr(float(v)) for v in point.w)
+    for w, b, name in (
+        (w_arg, bad, "b"),
+        (bad + "," + repr(float(point.w[1])), repr(float(point.b)), "w"),
+    ):
+        argv = [
+            "certify",
+            "--data", str(counterexample_csv),
+            "--w=" + w,
+            "--b=" + b,
+            "--C", "0.25",
+        ]
+        if with_lambda:
+            argv.append("--lambda=" + ",".join(repr(float(v)) for v in point.lam))
+        capsys.readouterr()
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {name} must be finite\n"
+
+
+_STEP_SWEEP = [f"1e{k}" for k in range(-12, 4)]
+
+
+def test_counterexample_never_pstationary_at_any_step(capsys, counterexample_csv):
+    # The sample at u = 1 admits no prox step, so no --gammas value can
+    # certify the point, through either command.  At small steps the four
+    # residuals alone fall within tol.
+    point = counterexample_point()
+    certify = [
+        "certify",
+        "--data", str(counterexample_csv),
+        "--w", ",".join(repr(float(v)) for v in point.w),
+        "--b=" + repr(float(point.b)),
+        "--C", "0.25",
+    ]
+    small_rows = 0
+    for gamma in _STEP_SWEEP:
+        for argv in (certify, ["counterexample"]):
+            code, out = run_cli(capsys, *argv, "--gammas", gamma)
+            assert code == 0
+            result = json.loads(out)["result"]
+            assert result["verdict"] == "kkt-only", (argv[0], gamma)
+            [row] = result["stationarity"]
+            assert row["gamma"] == float(gamma)
+            assert row["verdict"] == "neither"
+            small_rows += row["r_prox"] <= 1e-6
+    assert small_rows > 0
+    code, out = run_cli(capsys, *certify)
+    result = json.loads(out)["result"]
+    assert result["gamma_max"] == 0.0 and result["verdict"] == "kkt-only"
 
 
 def test_prox_eval_matches_library(capsys):
@@ -401,3 +464,64 @@ def test_installed_console_script(tmp_path):
     assert run.returncode == 0
     assert json.loads(run.stdout)["command"] == "train"
     assert run.stdout == run_module(*train_args).stdout
+
+
+def _ce_row(gamma, distances):
+    return {
+        "gamma": gamma,
+        "prox_distances": distances,
+        "r_feas": 0.0,
+        "r_grad": 0.0,
+        "r_prox": max(distances),
+        "r_y": 0.0,
+        "verdict": "neither",
+    }
+
+
+COUNTEREXAMPLE_REPORT = {
+    "command": "counterexample",
+    "inputs_digest": (
+        "47915dd61093861c572375a367407288ed6c92573795b0023f9232585afc7766"
+    ),
+    "params": {"C": 0.25, "gammas": [0.4, 4.0, 8.0, 16.0], "tol": 1e-06},
+    "problem": {
+        "full_column_rank": True,
+        "lambda_h": 0.2500000000000006,
+        "m": 3,
+        "n": 2,
+    },
+    "result": {
+        "kkt": {
+            "passed": True,
+            "r_feas": 0.0,
+            "r_grad": 0.0,
+            "r_multiplier": 0.0,
+            "r_y": 0.0,
+        },
+        "objective": 0.5,
+        "point": {
+            "b": -2.0,
+            "lambda": [-0.25, 0.0, -0.25],
+            "u": [0.0, 1.0, 0.0],
+            "w": [0.5, 0.5],
+        },
+        "stationarity": [
+            _ce_row(0.4, [0.0, 0.09999999999999998, 0.0]),
+            _ce_row(4.0, [0.0, 1.0, 0.0]),
+            _ce_row(8.0, [0.0, 1.0, 0.0]),
+            _ce_row(16.0, [4.0, 1.0, 4.0]),
+        ],
+        "verdict": "kkt-only",
+    },
+    "seed": None,
+}
+
+
+def test_counterexample_report_pinned(capsys):
+    # run_cli checks the text is json.dumps of the parsed report, so equal
+    # reports mean equal bytes, versions aside.
+    code, out = run_cli(capsys, "counterexample")
+    assert code == 0
+    report = json.loads(out)
+    del report["versions"]
+    assert report == COUNTEREXAMPLE_REPORT
