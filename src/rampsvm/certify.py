@@ -23,7 +23,10 @@ Points carrying only (w, b) are graded by taking u from the feasibility
 constraint and lambda from region-structured recovery (recover_multiplier):
 the margins fix lambda_i off the margin hyperplanes, and least squares
 solves only for the on-margin components.  check_kkt, recover_multiplier
-and admissible_steps share one margin classifier, each at its own tolerance.
+and admissible_steps share one margin classifier.  certify_point and
+grade_point decide at the one tolerance DEFAULT_TOL; recovery classifies
+margins at the wider _REGION_TOL, so that a sample slightly off its margin
+hyperplane still gets a free multiplier.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-6
+# Margins within this of 0 or 1 count as on a kink for multiplier recovery.
+_REGION_TOL = 1e-3
 
 
 class Verdict(enum.Enum):
@@ -218,7 +223,6 @@ def recover_multiplier(
     b: float,
     problem: ProblemData,
     C: float,
-    region_tol: float = 1e-3,
 ) -> tuple[np.ndarray, float]:
     """Region-structured multiplier recovery from a primal point.
 
@@ -227,9 +231,9 @@ def recover_multiplier(
     whose stationarity structure forces lambda_i = 0; such a lambda rarely
     certifies anything.  This recovery first fixes the components that the
     margins u = 1 - Aw - by determine: lambda_i = 0 where u_i is outside
-    [0, 1] or on the upper kink (|u_i - 1| <= region_tol), lambda_i = -C
+    [0, 1] or on the upper kink (|u_i - 1| <= _REGION_TOL), lambda_i = -C
     strictly inside the band (0, 1), and only the on-margin components
-    (|u_i| <= region_tol) are left free.  Those are solved by least squares
+    (|u_i| <= _REGION_TOL) are left free.  Those are solved by least squares
     on the remaining system, which is generically square or overdetermined.
 
     Returns (lambda, residual) with the infinity-norm residual of
@@ -238,7 +242,6 @@ def recover_multiplier(
     residual of it would mean anything.
     """
     check_positive("C", C)
-    check_positive("region_tol", region_tol)
     w = np.asarray(w, dtype=float)
     b = float(b)
     if w.shape != (problem.n,):
@@ -247,7 +250,7 @@ def recover_multiplier(
         raise ValueError("w must be finite")
     if not math.isfinite(b):
         raise ValueError("b must be finite")
-    cls = _classify(1.0 - problem.A @ w - b * problem.y, region_tol)
+    cls = _classify(1.0 - problem.A @ w - b * problem.y, _REGION_TOL)
     lam = np.where(cls == _BAND, -C, 0.0)
     active = np.flatnonzero(cls == _LOWER_KINK)
     rhs = np.concatenate((-w, [0.0])) - problem.B.T @ lam
@@ -296,12 +299,9 @@ def admissible_steps(
 
 
 def certify_point(
-    point: PrimalDualPoint,
-    problem: ProblemData,
-    C: float,
-    tol: float = DEFAULT_TOL,
+    point: PrimalDualPoint, problem: ProblemData, C: float
 ) -> tuple[Certificate, KKTCheck, float]:
-    """The one verdict rule.
+    """The one verdict rule, decided at DEFAULT_TOL.
 
     P_STATIONARY when the KKT system holds, the admissible set
     Gamma = (0, gamma_max] is nonempty, and the residuals pass at
@@ -312,10 +312,10 @@ def certify_point(
     Returns the certificate at gamma* (at 2/C when Gamma is empty) carrying
     that verdict, the KKT check, and gamma_max.
     """
-    kkt = check_kkt(point, problem, C, tol)
-    gamma_max = admissible_steps(point, C, tol)
+    kkt = check_kkt(point, problem, C)
+    gamma_max = admissible_steps(point, C)
     gamma = gamma_max / 2.0 if 0.0 < gamma_max < 2.0 / C else 2.0 / C
-    cert = check_pstationary(point, problem, C, gamma, tol)
+    cert = check_pstationary(point, problem, C, gamma)
     if kkt.passed and gamma_max > 0.0 and cert.verdict is Verdict.P_STATIONARY:
         verdict = Verdict.P_STATIONARY
     elif kkt.passed:
@@ -325,24 +325,19 @@ def certify_point(
     return replace(cert, verdict=verdict), kkt, gamma_max
 
 
-def grade_point(
-    w,
-    b: float,
-    problem: ProblemData,
-    C: float,
-    tol: float = DEFAULT_TOL,
-) -> Certificate:
-    """Grade a primal point with the verdict of certify_point.
+def grade_point(w, b: float, problem: ProblemData, C: float) -> Certificate:
+    """Grade a primal point with the verdict of certify_point, decided at
+    DEFAULT_TOL.
 
     u comes from the feasibility constraint and lambda from
     recover_multiplier.  The returned certificate is certify_point's, at
     its step gamma*.  The admissible steps are known exactly, so a KKT point
     that fails is not failed by the choice of a step: either no step is
-    admissible, or the residuals miss tol at gamma*, inside the admissible
-    set.
+    admissible, or the residuals miss DEFAULT_TOL at gamma*, inside the
+    admissible set.
     """
     lam, _ = recover_multiplier(w, b, problem, C)
     w = np.asarray(w, dtype=float)
     u = 1.0 - problem.A @ w - float(b) * problem.y
     point = PrimalDualPoint(w=w, b=b, u=u, lam=lam)
-    return certify_point(point, problem, C, tol)[0]
+    return certify_point(point, problem, C)[0]

@@ -54,7 +54,7 @@ from .losses import objective
 from .problem import ProblemData, build_problem
 from .prox import ProxParams, prox_distance, prox_scalar
 from .solver import SolveResult, SolveStatus, SolverConfig, train_admm
-from .support import DEFAULT_SV_TOL, extract_support, verify_support_margins
+from .support import extract_support, verify_support_margins
 
 __all__ = ["main", "build_parser"]
 
@@ -224,7 +224,7 @@ def cmd_train(args) -> int:
 def _stationarity(point, problem, C, gammas, gamma_max) -> list[Certificate]:
     """check_pstationary at each step; a step outside the admissible set
     (0, gamma_max] never reads p-stationary, whatever its residuals."""
-    certs = [check_pstationary(point, problem, C, g, DEFAULT_TOL) for g in gammas]
+    certs = [check_pstationary(point, problem, C, g) for g in gammas]
     return [
         c if c.gamma <= gamma_max else replace(c, verdict=Verdict.NEITHER)
         for c in certs
@@ -256,7 +256,7 @@ def cmd_certify(args) -> int:
     else:
         lam, mult_residual = recover_multiplier(w, args.b, problem, C)
     point = PrimalDualPoint(w=w, b=args.b, u=u, lam=lam)
-    cert, kkt, gamma_max = certify_point(point, problem, C, DEFAULT_TOL)
+    cert, kkt, gamma_max = certify_point(point, problem, C)
     gammas = args.gammas if args.gammas else [cert.gamma]
     digest = _digest(
         args.data,
@@ -306,10 +306,7 @@ def cmd_support_vectors(args) -> int:
     res = train_admm(problem, config)
     gamma = config.gamma
     verdict = res.certificate.verdict
-    # Multipliers below the solver tolerance are numerically zero; keep the
-    # support cutoff at or above it so iterate noise never becomes a vector.
-    sv_tol = max(DEFAULT_SV_TOL, config.tol)
-    support = extract_support(res.point, problem, sv_tol)
+    support = extract_support(res.point, problem)
     margin_check = None
     if res.status is SolveStatus.DIVERGED:
         skipped = "solver diverged"
@@ -318,9 +315,7 @@ def cmd_support_vectors(args) -> int:
     elif verdict is not Verdict.P_STATIONARY:
         skipped = f"point not certified p-stationary (verdict {verdict.value})"
     else:
-        holds, deviation = verify_support_margins(
-            res.point, problem, args.C, gamma, sv_tol=sv_tol
-        )
+        holds, deviation = verify_support_margins(res.point, problem, args.C, gamma)
         margin_check = {"holds": holds, "max_deviation": deviation}
         skipped = None
     report = {
@@ -353,7 +348,7 @@ def cmd_counterexample(args) -> int:
     problem = build_problem(dataset)
     point = counterexample_point()
     C = COUNTEREXAMPLE_C
-    cert, kkt, gamma_max = certify_point(point, problem, C, DEFAULT_TOL)
+    cert, kkt, gamma_max = certify_point(point, problem, C)
     stationarity = []
     for row in _stationarity(point, problem, C, gammas, gamma_max):
         s = point.u - row.gamma * point.lam
@@ -426,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="penalty parameter; default C/2 (prox step gamma = 1/sigma)",
     )
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=10000)
+    p.add_argument("--tol", type=float, default=SolverConfig.tol)
+    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     p.add_argument("--out", default=None, help="also write the report here")
     p.add_argument("--expect", choices=["p-stationary"], default=None)
     p.set_defaults(func=cmd_train)

@@ -42,7 +42,13 @@ from itertools import combinations
 import numpy as np
 
 from ._checks import check_positive
-from .certify import Certificate, PrimalDualPoint, Verdict, check_pstationary
+from .certify import (
+    DEFAULT_TOL,
+    Certificate,
+    PrimalDualPoint,
+    Verdict,
+    check_pstationary,
+)
 from .losses import objective
 from .problem import ProblemData, spd_solver
 # prox_scalar is not called here; it stays a module attribute because
@@ -70,7 +76,7 @@ class SolverConfig:
 
     C: float
     sigma: float | None = None
-    tol: float = 1e-6
+    tol: float = DEFAULT_TOL
     max_iter: int = 10000
 
     def __post_init__(self) -> None:
@@ -387,8 +393,8 @@ def global_oracle(
     the oracle visits the O(C(2m + 2d, d)) vertices, minimizes over the flat
     of every face through each one, and keeps the first best candidate in a
     fixed order, so repeated calls agree bit for bit.  bounds holds one
-    (lo, hi) pair per coordinate, or one pair for all.  Returns (w, b,
-    value) with value = objective(w, b).
+    (lo, hi) pair per coordinate of (w, b).  Returns (w, b, value) with
+    value = objective(w, b).
     """
     n = problem.n
     if n > 2:
@@ -396,8 +402,6 @@ def global_oracle(
     check_positive("C", C)
     d = n + 1
     box = np.array(bounds, dtype=float)
-    if box.shape == (2,):
-        box = np.tile(box, (d, 1))
     if box.shape != (d, 2):
         raise ValueError(f"bounds need {d} (lo, hi) pairs, got shape {box.shape}")
     if not np.all(np.isfinite(box)):

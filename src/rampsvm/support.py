@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import check_positive
-from .certify import PrimalDualPoint
+from .certify import DEFAULT_TOL, PrimalDualPoint
 from .problem import ProblemData
 
 __all__ = [
@@ -28,8 +28,6 @@ __all__ = [
     "extract_support",
     "verify_support_margins",
 ]
-
-DEFAULT_SV_TOL = 1e-8
 
 
 class RegimeError(ValueError):
@@ -54,13 +52,15 @@ class SupportSet:
 def extract_support(
     point: PrimalDualPoint,
     problem: ProblemData,
-    sv_tol: float = DEFAULT_SV_TOL,
+    sv_tol: float = DEFAULT_TOL,
 ) -> SupportSet:
     """Indices with |lambda_i| > sv_tol, plus multipliers and margins.
 
-    sv_tol separates true zeros from the multiplier noise floor; the
-    alternating solver produces exact zeros for samples resting in the
-    prox fixed-point regions, so the default is tight.
+    sv_tol separates true zeros from the multiplier noise floor.  A point
+    the trainer certifies at tolerance tol can carry multipliers of the
+    order of tol on samples off the margins, so the default is the trainer's
+    default tolerance, DEFAULT_TOL; pass at least the tolerance a point was
+    certified at.
     """
     if not (math.isfinite(sv_tol) and sv_tol >= 0):
         raise ValueError(f"sv_tol must be finite and nonnegative, got {sv_tol}")
@@ -79,16 +79,17 @@ def verify_support_margins(
     problem: ProblemData,
     C: float,
     gamma: float,
-    tol: float = 1e-6,
-    sv_tol: float = DEFAULT_SV_TOL,
+    *,
+    sv_tol: float = DEFAULT_TOL,
 ) -> tuple[bool, float]:
     """Check that every support vector lies on a margin hyperplane.
 
     Only meaningful in the gamma*C >= 2 regime and for points already
-    certified P-stationary at tol; the regime is enforced here, the
-    certification is the caller's contract.  Returns (ok, deviation) with
+    certified P-stationary; the regime is enforced here, the certification
+    is the caller's contract.  Support vectors are the samples with
+    |lambda_i| > sv_tol (extract_support).  Returns (ok, deviation) with
     deviation = max |u_i| over support indices (0 for an empty support set)
-    and ok true when it is at most 10*tol.
+    and ok true when it is at most 10*DEFAULT_TOL.
     """
     check_positive("gamma", gamma)
     check_positive("C", C)
@@ -96,9 +97,8 @@ def verify_support_margins(
         raise RegimeError(
             f"margin geometry requires gamma*C >= 2, got {gamma * C}"
         )
-    check_positive("tol", tol)
     sv = extract_support(point, problem, sv_tol)
     if len(sv) == 0:
         return True, 0.0
     deviation = float(np.max(np.abs(np.take(point.u, sv.indices))))
-    return deviation <= 10.0 * tol, deviation
+    return deviation <= 10.0 * DEFAULT_TOL, deviation

@@ -219,7 +219,7 @@ def test_check_kkt_matches_scalar_rule():
 def test_recover_multiplier_matches_scalar_rule():
     rng = np.random.default_rng(22)
     C = 0.7
-    rt = 1e-3  # the default region_tol
+    rt = 1e-3  # recover_multiplier's _REGION_TOL
     # Margins near -rt and rt: a sample with x = y has u = -b * y exactly
     # at w = 1, so b = rt and its neighbours put u on both sides of +-rt.
     X = np.concatenate(([1.0, -1.0, 1.0, -1.0], rng.uniform(-2.0, 2.0, 6)))
@@ -242,17 +242,14 @@ def test_recover_multiplier_matches_scalar_rule():
     lam, resid = recover_multiplier(w, 0.0, near_one, C)
     ref_lam, ref_resid = _scalar_recover_multiplier(w, 0.0, near_one, C, rt)
     assert np.array_equal(lam, ref_lam) and resid == ref_resid
-    # Random points, with a region wide enough to catch on-margin samples.
-    for region_tol in (rt, 0.2):
-        for _ in range(20):
-            X = rng.uniform(-2.0, 2.0, size=(15, 2))
-            prob = build_problem(Dataset(X=X, y=rng.choice([-1.0, 1.0], 15)))
-            w, b = rng.standard_normal(2), float(rng.standard_normal())
-            lam, resid = recover_multiplier(w, b, prob, C, region_tol)
-            ref_lam, ref_resid = _scalar_recover_multiplier(
-                w, b, prob, C, region_tol
-            )
-            assert np.array_equal(lam, ref_lam) and resid == ref_resid
+    # Random points.
+    for _ in range(20):
+        X = rng.uniform(-2.0, 2.0, size=(15, 2))
+        prob = build_problem(Dataset(X=X, y=rng.choice([-1.0, 1.0], 15)))
+        w, b = rng.standard_normal(2), float(rng.standard_normal())
+        lam, resid = recover_multiplier(w, b, prob, C)
+        ref_lam, ref_resid = _scalar_recover_multiplier(w, b, prob, C, rt)
+        assert np.array_equal(lam, ref_lam) and resid == ref_resid
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.inf, np.nan])
@@ -278,10 +275,6 @@ def test_kkt_and_recovery_reject_bad_C(C):
     # Every bound of the admissible set divides by C or multiplies by it.
     with pytest.raises(ValueError, match="C must be finite and positive"):
         admissible_steps(point, C)
-    # A NaN region_tol used to classify no sample and return lambda = 0.
-    for region_tol in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="region_tol must be finite"):
-            recover_multiplier(point.w, point.b, prob, 1.0, region_tol)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -326,15 +319,41 @@ def test_verdict_serialized_values():
 def test_dimension_mismatch_rejected():
     prob = build_problem(counterexample_dataset())
     good = counterexample_point()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"w has shape \(3,\), expected \(2,\)"):
         check_pstationary(
             PrimalDualPoint(w=np.zeros(3), b=0.0, u=good.u, lam=good.lam),
             prob,
             COUNTEREXAMPLE_C,
             gamma=1.0,
         )
+    with pytest.raises(ValueError, match=r"u has shape \(4,\), expected \(3,\)"):
+        check_pstationary(
+            PrimalDualPoint(w=good.w, b=0.0, u=np.zeros(4), lam=np.zeros(4)),
+            prob,
+            COUNTEREXAMPLE_C,
+            gamma=1.0,
+        )
+    with pytest.raises(ValueError, match=r"w has shape \(3,\), expected \(2,\)"):
+        recover_multiplier(np.zeros(3), 0.0, prob, COUNTEREXAMPLE_C)
     with pytest.raises(ValueError):
         check_pstationary(good, prob, COUNTEREXAMPLE_C, gamma=-1.0)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"lam": [-0.5]}, r"lam has shape \(1,\), expected \(2,\) to match u"),
+        ({"w": [[1.0]]}, r"w must be 1-d, got shape \(1, 1\)"),
+        ({"b": np.inf}, "b must be finite"),
+        ({"b": np.nan}, "b must be finite"),
+    ],
+    ids=["lam-shape", "w-2d", "b-inf", "b-nan"],
+)
+def test_point_rejects_malformed_fields(fields, message):
+    pair = symmetric_pair_point()
+    kwargs = {"w": pair.w, "b": pair.b, "u": pair.u, "lam": pair.lam, **fields}
+    with pytest.raises(ValueError, match=message):
+        PrimalDualPoint(**kwargs)
 
 
 # Powers of two, and margins and multipliers on a 1/16 grid, keep every sum,

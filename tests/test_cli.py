@@ -19,6 +19,7 @@ from rampsvm import (
     ProxParams,
     counterexample_dataset,
     counterexample_point,
+    gen_synthetic,
     prox_scalar,
     write_csv,
 )
@@ -82,6 +83,15 @@ def easy_csv(tmp_path):
 def counterexample_csv(tmp_path):
     path = tmp_path / "ce.csv"
     write_csv(counterexample_dataset(), path)
+    return path
+
+
+@pytest.fixture
+def batch1_csv(tmp_path):
+    # Acceptance-batch dataset 1; at sigma = 0.5 its run uses the whole
+    # budget and ends uncertified.
+    path = tmp_path / "batch1.csv"
+    write_csv(gen_synthetic(8, 4.0, 0.1, 1), path)
     return path
 
 
@@ -216,6 +226,40 @@ def test_certify_dimension_error(capsys, counterexample_csv):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "w, extra, message",
+    [
+        ("0,0", ["--lambda=1,2"], "error: --lambda has 2 entries, dataset has 3 samples"),
+        ("0,0", ["--lambda=0,nan,0"], "error: lam must be finite"),
+        ("1,x", [], "rampsvm certify: error: argument --w: bad float list '1,x'"),
+        (",", [], "rampsvm certify: error: argument --w: empty list"),
+    ],
+    ids=["lambda-count", "lambda-nan", "w-bad-float", "w-empty"],
+)
+def test_certify_input_errors(capsys, counterexample_csv, w, extra, message):
+    # Exit 2 with nothing on stdout and one error line on stderr; argparse
+    # prints its usage lines before the error line.
+    argv = [
+        "certify",
+        "--data", str(counterexample_csv),
+        "--w=" + w,
+        "--b=0",
+        "--C=0.25",
+        *extra,
+    ]
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[-1] == message
+    assert all(line.startswith(("usage: ", " ")) for line in lines[:-1])
+
+
 @pytest.mark.parametrize("with_lambda", [False, True])
 def test_certify_rejects_zero_C(capsys, counterexample_csv, with_lambda):
     # The bounds of the admissible steps divide by C; a division by zero
@@ -338,6 +382,26 @@ def test_support_vectors_report(capsys, easy_csv):
     assert len(support["indices"]) == len(support["lambdas"])
     if report["result"]["margin_check"] is not None:
         assert report["result"]["margin_check"]["holds"] is True
+
+
+@pytest.mark.parametrize(
+    "sigma, code, skipped",
+    [
+        ("1e308", 3, "solver diverged"),
+        ("1", 0, "gamma*C = 1.0 < 2, margin geometry not applicable"),
+        ("0.5", 0, "point not certified p-stationary (verdict neither)"),
+    ],
+    ids=["diverged", "regime", "uncertified"],
+)
+def test_support_vectors_skip_reasons(capsys, batch1_csv, sigma, code, skipped):
+    got, out = run_cli(
+        capsys,
+        "support-vectors", "--data", str(batch1_csv), "--C", "1", "--sigma", sigma,
+    )
+    assert got == code
+    result = json.loads(out)["result"]
+    assert result["margin_check"] is None
+    assert result["margin_check_skipped"] == skipped
 
 
 def test_counterexample_subcommand(capsys):

@@ -182,6 +182,7 @@ def test_libsvm_parsing(tmp_path):
         ("+1 x\n", "line 1"),
         ("+1\n", "no feature"),
         ("3 1:1.0\n", "label"),
+        ("+1 a:1.0\n", "line 1: bad feature index 'a'"),
     ],
 )
 def test_libsvm_errors(tmp_path, text, fragment):
@@ -190,6 +191,13 @@ def test_libsvm_errors(tmp_path, text, fragment):
     with pytest.raises(DataFormatError) as err:
         parse_dataset(path, DataFormat.LIBSVM)
     assert fragment in str(err.value)
+
+
+def test_unknown_format_rejected(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("+1,1.0\n")
+    with pytest.raises(ValueError, match="unknown format 'csv'"):
+        parse_dataset(path, "csv")
 
 
 def test_missing_file_raises_oserror(tmp_path):

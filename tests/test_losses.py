@@ -91,3 +91,7 @@ def test_objective_validates_inputs():
     for C in (np.nan, np.inf):
         with pytest.raises(ValueError, match="C must be finite and positive"):
             objective(np.zeros(2), 0.0, ds, C)
+    # A non-finite w or b makes the margins non-finite.
+    for w, b in (([np.inf, 0.0], 0.0), ([0.0, 0.0], np.nan)):
+        with pytest.raises(ValueError, match="ramp loss sum needs finite entries"):
+            objective(np.array(w), b, ds, 1.0)

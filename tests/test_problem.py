@@ -116,6 +116,8 @@ def test_dataset_validation():
         Dataset(X=np.array([[np.nan, 0.0]]), y=np.array([1.0]))
     with pytest.raises(ValueError):
         Dataset(X=np.zeros(3), y=np.array([1.0, 1.0, -1.0]))
+    with pytest.raises(ValueError, match="dataset needs at least one sample"):
+        Dataset(X=np.zeros((0, 2)), y=np.zeros(0))
 
 
 def test_dataset_immutable():

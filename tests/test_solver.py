@@ -438,12 +438,29 @@ def test_oracle_rejects_bad_C(C):
 
 
 @pytest.mark.parametrize(
-    "bounds",
-    [((-math.inf, 2), (-3, 3)), ((-2, 2), (-3, math.nan)), (-math.inf, math.inf)],
+    "bounds", [((-math.inf, 2), (-3, 3)), ((-2, 2), (-3, math.nan))]
 )
 def test_oracle_rejects_non_finite_bounds(bounds):
     prob = build_problem(symmetric_pair_dataset())
     with pytest.raises(ValueError, match="bounds must be finite"):
+        global_oracle(prob, 1.0, bounds=bounds)
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        # One (lo, hi) pair for every coordinate is not a box.
+        ((-2, 2), r"bounds need 2 \(lo, hi\) pairs, got shape \(2,\)"),
+        (((-2, 2),) * 3, r"bounds need 2 \(lo, hi\) pairs, got shape \(3, 2\)"),
+        (((-2, 2, 0), (-3, 3, 0)), r"got shape \(2, 3\)"),
+        (((-2, 2), (3, 3)), "bounds has an empty axis"),
+        (((2, -2), (-3, 3)), "bounds has an empty axis"),
+    ],
+    ids=["one-pair", "three-pairs", "three-columns", "zero-width", "reversed"],
+)
+def test_oracle_rejects_misshapen_bounds(bounds, message):
+    prob = build_problem(symmetric_pair_dataset())
+    with pytest.raises(ValueError, match=message):
         global_oracle(prob, 1.0, bounds=bounds)
 
 

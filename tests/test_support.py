@@ -7,6 +7,8 @@ from rampsvm import (
     COUNTEREXAMPLE_C,
     PrimalDualPoint,
     RegimeError,
+    SolveStatus,
+    SolverConfig,
     build_problem,
     counterexample_dataset,
     counterexample_point,
@@ -14,6 +16,7 @@ from rampsvm import (
     gen_synthetic,
     symmetric_pair_dataset,
     symmetric_pair_point,
+    train_admm,
     verify_support_margins,
 )
 
@@ -88,21 +91,45 @@ def test_verify_support_margins_wrong_regime():
 
 
 @pytest.mark.parametrize(
-    "C, gamma, tol, name",
+    "C, gamma, sv_tol, name",
     [
         (np.nan, 2.0, 1e-6, "C"),
         (1.0, np.nan, 1e-6, "gamma"),
         (1.0, np.inf, 1e-6, "gamma"),
-        (1.0, 2.0, np.inf, "tol"),
-        (1.0, 2.0, np.nan, "tol"),
+        (1.0, 2.0, np.inf, "sv_tol"),
+        (1.0, 2.0, np.nan, "sv_tol"),
     ],
 )
-def test_verify_support_margins_rejects_non_finite(C, gamma, tol, name):
-    # Each of these used to return (True, 0.0) on the symmetric pair.
+def test_verify_support_margins_rejects_non_finite(C, gamma, sv_tol, name):
+    # The C and gamma cases used to return (True, 0.0) on the symmetric pair.
     prob = build_problem(symmetric_pair_dataset())
     point = symmetric_pair_point()
-    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
-        verify_support_margins(point, prob, C, gamma, tol)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        verify_support_margins(point, prob, C, gamma, sv_tol=sv_tol)
+
+
+def test_verify_support_margins_takes_sv_tol_by_keyword():
+    # The fifth positional slot was a margin tolerance; a stale call that
+    # passes one must fail rather than be read as the support cutoff.
+    prob = build_problem(symmetric_pair_dataset())
+    with pytest.raises(TypeError):
+        verify_support_margins(symmetric_pair_point(), prob, 1.0, 2.0, 1e-6)
+
+
+@pytest.mark.parametrize("seed", [3, 11, 15])
+def test_support_defaults_match_solver_tolerance(seed):
+    # A point certified at the trainer's default tolerance carries
+    # multipliers of about 1e-7 on samples off the margins.  A support
+    # cutoff of 1e-8 counted 15 or 16 of the 16 samples as support vectors
+    # and failed the margin check with deviation 2.35-2.42.
+    prob = build_problem(gen_synthetic(8, 4.0, 0.1, seed))
+    res = train_admm(prob, SolverConfig(C=1.0))
+    assert res.status is SolveStatus.CONVERGED
+    sv = extract_support(res.point, prob)
+    assert sv.indices == extract_support(res.point, prob, sv_tol=1e-6).indices
+    assert len(sv) == 2
+    holds, deviation = verify_support_margins(res.point, prob, 1.0, 2.0)
+    assert holds is True, deviation
 
 
 def test_verify_support_margins_accepts_kkt_fixture():
