@@ -37,9 +37,10 @@ from .certify import (
     KKTCheck,
     PrimalDualPoint,
     Verdict,
+    _candidate,
+    _grade,
     certify_point,
     check_pstationary,
-    recover_multiplier,
 )
 from .datasets import (
     COUNTEREXAMPLE_C,
@@ -239,24 +240,16 @@ def cmd_certify(args) -> int:
         raise ValueError(
             f"--w has {w.size} entries, dataset has {problem.n} features"
         )
-    # Before u = 1 - A w - b y, which would carry a non-finite w or b into u.
-    if not np.isfinite(w).all():
-        raise ValueError("w must be finite")
-    if not math.isfinite(args.b):
-        raise ValueError("b must be finite")
-    C = args.C
-    u = 1.0 - problem.A @ w - args.b * problem.y
-    mult_residual = None
+    point = _candidate(w, args.b, problem)
     if args.lam is not None:
         lam = np.asarray(args.lam, dtype=float)
         if lam.shape != (problem.m,):
             raise ValueError(
                 f"--lambda has {lam.size} entries, dataset has {problem.m} samples"
             )
-    else:
-        lam, mult_residual = recover_multiplier(w, args.b, problem, C)
-    point = PrimalDualPoint(w=w, b=args.b, u=u, lam=lam)
-    cert, kkt, gamma_max = certify_point(point, problem, C)
+        point = replace(point, lam=lam)
+    C = args.C
+    cert, kkt, gamma_max, point, move = _grade(point, problem, C)
     gammas = args.gammas if args.gammas else [cert.gamma]
     digest = _digest(
         args.data,
@@ -278,7 +271,7 @@ def cmd_certify(args) -> int:
             ],
             "kkt": _kkt_dict(kkt),
             "point": _point_dict(point),
-            "multiplier_residual": mult_residual,
+            "move": move,
         },
     }
     _emit(args, digest, report)

@@ -16,6 +16,7 @@ import pytest
 import rampsvm
 from rampsvm import (
     COUNTEREXAMPLE_C,
+    Dataset,
     ProxParams,
     counterexample_dataset,
     counterexample_point,
@@ -310,6 +311,28 @@ def test_certify_rejects_non_finite_point(
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {name} must be finite\n"
+
+
+def test_certify_polishes_every_margin_at_zero(capsys, tmp_path):
+    # m = 8000 samples all on the margin of w = (1, 0), b = 0, as a trainer
+    # iterate whose prox zeroed every u: the polish is one thin QR of the
+    # 8000 x 3 matrix B_S, where a dense solve of the (3 + 8000)-square
+    # system would need 512 MB.  The report carries the move, and no
+    # multiplier residual.
+    rng = np.random.default_rng(8000)
+    y = np.resize([1.0, -1.0], 8000)
+    X = np.column_stack((y, rng.uniform(-2.0, 2.0, y.size)))
+    path = tmp_path / "on-margin.csv"
+    write_csv(Dataset(X=X, y=y), path)
+    code, out = run_cli(
+        capsys, "certify", "--data", str(path), "--w", "1,0", "--b", "0", "--C", "1"
+    )
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert "multiplier_residual" not in result
+    assert result["move"] <= 1e-12
+    assert result["verdict"] == "p-stationary"
+    assert max(abs(u) for u in result["point"]["u"]) <= 1e-12
 
 
 _STEP_SWEEP = [f"1e{k}" for k in range(-12, 4)]

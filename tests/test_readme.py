@@ -1,14 +1,18 @@
-"""README drift: the module map names real exports, the example runs;
-and no private helper in the package is left without a caller."""
+"""README drift: the module map names real exports, the library example
+and every CLI example run; and no private helper in the package is left
+without a caller."""
 
 import ast
 import contextlib
 import importlib
 import io
+import json
 import re
+import shlex
 from pathlib import Path
 
 import rampsvm
+from rampsvm.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -47,6 +51,20 @@ def test_library_example_prints_what_it_promises():
     for line, match in zip(printed, promised):
         if match:
             assert line == match.group(1)
+
+
+def test_cli_examples_run(capsys, monkeypatch, tmp_path):
+    # Each `rampsvm ...` line of the CLI block, in order (gen-data first,
+    # which writes the file the others read), exits 0 with one JSON report.
+    block = _section("## CLI", "\n```\n\n").split("```\n", 1)[1]
+    commands = [line for line in block.splitlines() if line.startswith("rampsvm ")]
+    assert commands[0].startswith("rampsvm gen-data ") and len(commands) == 7
+    monkeypatch.chdir(tmp_path)
+    for line in commands:
+        capsys.readouterr()
+        assert main(shlex.split(line)[1:]) == 0, line
+        out = capsys.readouterr().out
+        assert out.endswith("}\n") and isinstance(json.loads(out), dict), line
 
 
 def _is_private(name: str) -> bool:
