@@ -19,15 +19,13 @@ empty exactly when a sample sits on the upper kink u = 1.  certify_point
 derives the one verdict every caller reports: KKT holds, Gamma is nonempty,
 and the residuals pass at one step gamma* in Gamma.
 
-grade_point and `rampsvm certify` grade a candidate by one route: u from
-the feasibility constraint, then the exact pattern polish (polish).  The
-margins, classified at _REGION_TOL, fix lambda_i off the margin
-hyperplanes, and the least change to (w, b, lambda_S) solves stationarity
-on that pattern (by least squares where it has no exact solution).
-certify_point decides on the polished point when no margin moved by more
-than _REGION_TOL, else on the candidate carrying the polished lambda.
-check_kkt, polish and admissible_steps share one margin classifier; every
-verdict is decided at the one tolerance DEFAULT_TOL.
+A primal point (w, b) is graded by one route (grade): u from the
+feasibility constraint, lambda as given or else from region-structured
+recovery (recover_multiplier), and certify_point's verdict on that point.
+Recovery lets the margins fix lambda_i off the margin hyperplanes, and
+least squares solves only for the on-margin components.  check_kkt,
+recover_multiplier and admissible_steps share one margin classifier, and
+every verdict and recovery is decided at the one tolerance DEFAULT_TOL.
 """
 
 from __future__ import annotations
@@ -52,16 +50,13 @@ __all__ = [
     "check_pstationary",
     "check_kkt",
     "certify_point",
-    "polish",
     "recover_multiplier",
     "admissible_steps",
+    "grade",
     "grade_point",
 ]
 
 DEFAULT_TOL = 1e-6
-# Margins within this of 0 or 1 count as on a kink for the pattern polish,
-# which may move no margin by more than this.
-_REGION_TOL = 1e-3
 
 
 class Verdict(enum.Enum):
@@ -221,8 +216,9 @@ def check_kkt(
     return KKTCheck(passed, r_grad, r_y, r_feas, r_mult)
 
 
-def _candidate(w, b, problem: ProblemData) -> PrimalDualPoint:
-    """The candidate (w, b, 1 - A w - b y, 0), once w and b check out."""
+def _margins(w, b, problem: ProblemData):
+    """(w, b) as floats, once they check out, and the margins
+    u = 1 - A w - b y; a non-finite w or b would carry into u."""
     w = np.asarray(w, dtype=float)
     b = float(b)
     if w.shape != (problem.n,):
@@ -231,55 +227,46 @@ def _candidate(w, b, problem: ProblemData) -> PrimalDualPoint:
         raise ValueError("w must be finite")
     if not math.isfinite(b):
         raise ValueError("b must be finite")
-    u = 1.0 - problem.A @ w - b * problem.y
-    return PrimalDualPoint(w=w, b=b, u=u, lam=np.zeros(problem.m))
+    return w, b, 1.0 - problem.A @ w - b * problem.y
 
 
-def polish(
-    point: PrimalDualPoint, problem: ProblemData, C: float
-) -> tuple[PrimalDualPoint, float]:
-    """The exact pattern polish: the least change to the point's
-    (w, b, lambda_S) that solves stationarity on its margin pattern.
+def recover_multiplier(
+    w,
+    b: float,
+    problem: ProblemData,
+    C: float,
+) -> tuple[np.ndarray, float]:
+    """Region-structured multiplier recovery from a primal point.
 
-    Margins u = 1 - A w - b y within _REGION_TOL of 0 form S.  lambda_i is
-    -C in the band and 0 elsewhere off S; (w, b, lambda_S) then solve
-    w + A_S^T lambda_S = C A_band^T 1, y_S^T lambda_S = C sum_band y_i and
-    A_S w + b y_S = 1 by their minimum-norm least-squares correction.  With
-    B_S = [A_S y_S] = U diag(s) V^T from one thin QR and an (n+1)-sized SVD,
-    the cost is O(|S| n^2): the (w, b) step is V s^-1 U^T u_S plus a step in
-    the null space of B_S that fits the w-rows, and lambda_S takes the rest.
+    The plain least-squares system B^T lambda = (-w; 0) is underdetermined
+    for m > n+1, and its minimum-norm solution spreads weight onto samples
+    whose stationarity structure forces lambda_i = 0; such a lambda rarely
+    certifies anything.  This recovery first fixes the components that the
+    margins u = 1 - Aw - by determine: lambda_i = 0 where u_i is outside
+    [0, 1] or on the upper kink (|u_i - 1| <= DEFAULT_TOL), lambda_i = -C
+    strictly inside the band (0, 1), and only the on-margin components
+    (|u_i| <= DEFAULT_TOL) are left free: the classes of check_kkt at the
+    tolerance every verdict is decided at.  Those are solved by least squares
+    on the remaining system, which is generically square or overdetermined.
 
-    Returns the polished point and its move, the largest change from the
-    point's u to the polished margins.
+    Returns (lambda, residual) with the infinity-norm residual of
+    B^T lambda - (-w; 0); a large residual means no multiplier with this
+    structure makes w stationary.  A non-finite w or b is rejected, as no
+    residual of it would mean anything.
     """
     check_positive("C", C)
-    _check_dims(point, problem)
-    A, y, B = problem.A, problem.y, problem.B
-    u = 1.0 - A @ point.w - point.b * y
-    cls = _classify(u, _REGION_TOL)
-    on = cls == _LOWER_KINK
-    lam = np.where(cls == _BAND, -C, np.where(on, point.lam, 0.0))
-    B_S = B[on]
-    q, r = np.linalg.qr(B_S)
-    ur, s, vt = np.linalg.svd(r)
-    # Numerical rank of B_S, by numpy.linalg.matrix_rank's rule.
-    cut = s.max(initial=0.0) * max(B_S.shape) * np.finfo(float).eps
-    k = np.count_nonzero(s > cut)
-    U, s, V, V_perp = q @ ur[:, :k], s[:k], vt[:k].T, vt[k:].T
-    P = np.diag(np.append(np.ones(problem.n), 0.0))  # the w-rows
-    g = -(B.T @ lam + np.append(point.w, 0.0))  # gradient rows left to fit
-    dz = V @ (U.T @ u[on] / s)
-    dz += V_perp @ np.linalg.pinv(V_perp.T @ P @ V_perp) @ V_perp.T @ (g - P @ dz)
-    lam[on] += U @ (V.T @ (g - P @ dz) / s)
-    w, b = point.w + dz[:-1], point.b + dz[-1]
-    polished = PrimalDualPoint(w=w, b=b, u=1.0 - A @ w - b * y, lam=lam)
-    return polished, float(np.max(np.abs(polished.u - point.u)))
-
-
-def recover_multiplier(w, b, problem: ProblemData, C: float):
-    """polish's multiplier and move for the candidate (w, b)."""
-    polished, move = polish(_candidate(w, b, problem), problem, C)
-    return polished.lam, move
+    w, b, u = _margins(w, b, problem)
+    cls = _classify(u, DEFAULT_TOL)
+    lam = np.where(cls == _BAND, -C, 0.0)
+    active = np.flatnonzero(cls == _LOWER_KINK)
+    rhs = np.concatenate((-w, [0.0])) - problem.B.T @ lam
+    if active.size:
+        sol, *_ = np.linalg.lstsq(problem.B.T[:, active], rhs, rcond=None)
+        lam[active] = sol
+    resid = float(
+        np.max(np.abs(problem.B.T @ lam - np.concatenate((-w, [0.0]))))
+    )
+    return lam, resid
 
 
 def admissible_steps(
@@ -344,17 +331,28 @@ def certify_point(
     return replace(cert, verdict=verdict), kkt, gamma_max
 
 
-def _grade(point: PrimalDualPoint, problem: ProblemData, C: float):
-    """The one route from a candidate to a verdict: certify_point on the
-    polish when it moves no margin by more than _REGION_TOL, else on the
-    candidate carrying the polished lambda.  Returns certify_point's triple,
-    the point it certified and the move."""
-    polished, move = polish(point, problem, C)
-    if move > _REGION_TOL:
-        polished = replace(point, lam=polished.lam)
-    return (*certify_point(polished, problem, C), polished, move)
+def grade(
+    w, b, problem: ProblemData, C: float, lam=None
+) -> tuple[Certificate, KKTCheck, float, PrimalDualPoint]:
+    """The one route from a primal point to a verdict: certify_point on
+    (w, b, u, lambda), decided at DEFAULT_TOL.
+
+    u comes from the feasibility constraint, and lambda is the given one,
+    graded as it stands, or else recover_multiplier's.  Returns
+    certify_point's triple and the point it certified.
+    """
+    w, b, u = _margins(w, b, problem)
+    if lam is None:
+        lam, _ = recover_multiplier(w, b, problem, C)
+    point = PrimalDualPoint(w=w, b=b, u=u, lam=lam)
+    return (*certify_point(point, problem, C), point)
 
 
 def grade_point(w, b: float, problem: ProblemData, C: float) -> Certificate:
-    """certify_point's certificate for (w, b), by the one route of _grade."""
-    return _grade(_candidate(w, b, problem), problem, C)[0]
+    """grade's certificate for (w, b) with the recovered multiplier.
+
+    The admissible steps are known exactly, so a KKT point that fails is
+    not failed by the choice of a step: either no step is admissible, or
+    the residuals miss DEFAULT_TOL at gamma*, inside the admissible set.
+    """
+    return grade(w, b, problem, C)[0]

@@ -37,10 +37,9 @@ from .certify import (
     KKTCheck,
     PrimalDualPoint,
     Verdict,
-    _candidate,
-    _grade,
     certify_point,
     check_pstationary,
+    grade,
 )
 from .datasets import (
     COUNTEREXAMPLE_C,
@@ -240,16 +239,12 @@ def cmd_certify(args) -> int:
         raise ValueError(
             f"--w has {w.size} entries, dataset has {problem.n} features"
         )
-    point = _candidate(w, args.b, problem)
-    if args.lam is not None:
-        lam = np.asarray(args.lam, dtype=float)
-        if lam.shape != (problem.m,):
-            raise ValueError(
-                f"--lambda has {lam.size} entries, dataset has {problem.m} samples"
-            )
-        point = replace(point, lam=lam)
+    if args.lam is not None and len(args.lam) != problem.m:
+        raise ValueError(
+            f"--lambda has {len(args.lam)} entries, dataset has {problem.m} samples"
+        )
     C = args.C
-    cert, kkt, gamma_max, point, move = _grade(point, problem, C)
+    cert, kkt, gamma_max, point = grade(w, args.b, problem, C, args.lam)
     gammas = args.gammas if args.gammas else [cert.gamma]
     digest = _digest(
         args.data,
@@ -271,7 +266,6 @@ def cmd_certify(args) -> int:
             ],
             "kkt": _kkt_dict(kkt),
             "point": _point_dict(point),
-            "move": move,
         },
     }
     _emit(args, digest, report)

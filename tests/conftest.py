@@ -11,9 +11,6 @@ kkt_enumerate   exact global minimization of the ramp-SVM objective on tiny
                 each arrangement's stationarity system in closed form.
 local_min_probe randomized descent search in a ball around a candidate,
                 the direct reading of "local minimizer".
-polish_reference the pattern polish as one dense least-squares solve of the
-                whole (n+1+|S|)-square stationarity system, with margins
-                classified one sample at a time.
 """
 
 from __future__ import annotations
@@ -87,35 +84,6 @@ def prox_oracle(s: float, params: ProxParams) -> float:
 # or beyond it (S).  Stationarity fixes lambda_i = 0 on N and S, -C on B,
 # and leaves it free in [-C, 0] on Z and O.
 _CLASSES = "NZBOS"
-
-
-def polish_reference(point, problem, C, region_tol=1e-3):
-    """The pattern polish of `point`, as (w, b, lam), by numpy's minimum-norm
-    lstsq on the dense system in the corrections (dw, db, dlam_S):
-
-        [ P    B_S^T ] [dz    ]   [ -(B^T lam + (w; 0)) ]
-        [ B_S  0     ] [dlam_S] = [ u_S                 ]
-
-    P keeps the w-rows, B_S = [A_S y_S] and u = 1 - A w - b y.  lam is -C in
-    the band, the point's own on the margin set S (|u_i| <= region_tol) and
-    0 elsewhere.  Quadratic in |S| memory, so only for small patterns."""
-    A, y, B, n = problem.A, problem.y, problem.B, problem.n
-    u = 1.0 - A @ point.w - point.b * y
-    lam = np.zeros(problem.m)
-    on = []
-    for i, u_i in enumerate(u):
-        if abs(u_i) <= region_tol:
-            on.append(i)
-            lam[i] = point.lam[i]
-        elif 0.0 < u_i < 1.0 and abs(u_i - 1.0) > region_tol:
-            lam[i] = -C
-    P = np.diag([1.0] * n + [0.0])
-    B_S = B[on]
-    M = np.block([[P, B_S.T], [B_S, np.zeros((len(on), len(on)))]])
-    rhs = np.concatenate((-(B.T @ lam + np.append(point.w, 0.0)), u[on]))
-    d = np.linalg.lstsq(M, rhs, rcond=None)[0]
-    lam[on] += d[n + 1 :]
-    return point.w + d[:n], point.b + d[n], lam
 
 
 def kkt_enumerate(problem, dataset, C, feas_tol=1e-9):

@@ -1,4 +1,4 @@
-"""Stationarity certification: P-stationary, KKT, the pattern polish,
+"""Stationarity certification: P-stationary, KKT, multiplier recovery,
 the admissible prox steps and the one verdict rule."""
 
 import math
@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import kkt_enumerate, polish_reference
+from conftest import kkt_enumerate
 from rampsvm import (
     COUNTEREXAMPLE_C,
     Certificate,
     Dataset,
     PrimalDualPoint,
     ProxParams,
+    SolverConfig,
     Verdict,
     admissible_steps,
     build_problem,
@@ -23,15 +24,17 @@ from rampsvm import (
     counterexample_point,
     gen_synthetic,
     global_oracle,
+    grade,
     grade_point,
-    polish,
     prox_scalar,
     recover_multiplier,
     single_point_dataset,
     single_point_point,
     symmetric_pair_dataset,
     symmetric_pair_point,
+    train_admm,
 )
+from rampsvm.certify import DEFAULT_TOL
 
 
 def test_single_point_fixture_exact():
@@ -87,18 +90,68 @@ def test_grade_point_pstationary_on_pair():
 
 def test_grade_point_neither_on_garbage():
     prob = build_problem(counterexample_dataset())
-    w, b, C = np.array([5.0, -3.0]), 2.0, COUNTEREXAMPLE_C
-    cert = grade_point(w, b, prob, C)
+    cert = grade_point(np.array([5.0, -3.0]), 2.0, prob, COUNTEREXAMPLE_C)
     assert cert.verdict is Verdict.NEITHER
     assert cert.max_residual > 1e-3
-    # The polish moves (w, b) by 5 onto a p-stationary point; only the move
-    # bound keeps that point from standing in for (w, b).
+
+
+def test_grade_point_not_stationary_off_the_minimizer():
+    # Two points whose margins sit on (or within 1e-3 of) the margin
+    # hyperplane, but which no multiplier makes stationary.  On the single
+    # point, (0.3, 0.4) has u = 0, and along 2w + b = 1 the margin stays 0
+    # while w^2/2 falls.  On the pair, w = 1.0005 puts both margins at
+    # -5e-4: below the margin, where lambda must be 0, so w must be 0.
+    cases = (
+        (build_problem(single_point_dataset()), 0.3, 0.4, 0.0),
+        (build_problem(symmetric_pair_dataset()), 1.0005, 0.0, -5e-4),
+    )
+    for prob, w, b, margin in cases:
+        u = 1.0 - prob.A @ [w] - b * prob.y
+        assert np.allclose(u, margin, rtol=0.0, atol=1e-12)
+        cert = grade_point(np.array([w]), b, prob, C=1.0)
+        assert cert.verdict is not Verdict.P_STATIONARY, (w, b)
+        assert cert.max_residual > 1e-4
+
+
+def test_grade_point_frees_only_on_margin_multipliers():
+    # Three nearly collinear samples per class: the trained point leaves
+    # margins (0, -3.8e-4, 0, -7.7e-4, 0, -1.5e-3).  The samples below the
+    # margin take lambda = 0.  Freeing their multipliers in the fit, as a
+    # margin class 1e-3 wide did, missed their KKT interval by 0.2 and
+    # graded the point neither.
+    X = np.array([
+        (1.0002113662973113, -1.5), (1.0006120714150541, 0.0),
+        (1.000260635510887, 1.5), (-1.0002746062858843, -1.5),
+        (-0.9994784224308331, 0.0), (-1.000947030902192, 1.5),
+    ])
+    prob = build_problem(Dataset(X=X, y=np.array([1.0, 1, 1, -1, -1, -1])))
+    res = train_admm(prob, SolverConfig(C=1.0, sigma=0.5))
+    assert res.certificate.verdict is Verdict.P_STATIONARY
+    w, b = res.point.w, res.point.b
     u = 1.0 - prob.A @ w - b * prob.y
-    polished, move = polish(PrimalDualPoint(w, b, u, np.zeros(3)), prob, C)
-    assert move > 1e-3
-    step = np.append(polished.w - w, polished.b - b)
-    assert abs(np.max(np.abs(step)) - 5.0) <= 1e-12
-    assert certify_point(polished, prob, C)[0].verdict is Verdict.P_STATIONARY
+    assert np.count_nonzero(np.abs(u) <= 1e-6) == 3
+    assert np.count_nonzero((u < -1e-4) & (u > -2e-3)) == 3
+    cert = grade_point(w, b, prob, C=1.0)
+    assert cert.verdict is Verdict.P_STATIONARY
+    assert max(cert.r_grad, cert.r_y) <= 1e-12
+
+
+def test_grade_uses_the_given_multiplier():
+    # grade is grade_point's route; a given lambda is graded as it stands,
+    # and the certified point carries it.
+    prob = build_problem(symmetric_pair_dataset())
+    point = symmetric_pair_point()
+    cert, kkt, gamma_max, graded = grade(point.w, point.b, prob, 1.0)
+    assert cert == grade_point(point.w, point.b, prob, 1.0)
+    assert np.array_equal(graded.u, point.u)
+    for lam, verdict in (
+        (point.lam, Verdict.P_STATIONARY),
+        ([-0.5, -0.4], Verdict.NEITHER),  # r_y = 0.1
+        ([5.0, 5.0], Verdict.NEITHER),
+    ):
+        cert, kkt, gamma_max, graded = grade(point.w, point.b, prob, 1.0, lam)
+        assert cert.verdict is verdict
+        assert np.array_equal(graded.lam, lam)
 
 
 def test_recover_multiplier_exact_when_square():
@@ -168,6 +221,25 @@ def _scalar_r_multiplier(u, lam, C, tol):
     return r
 
 
+def _scalar_recover_multiplier(w, b, prob, C, region_tol):
+    """recover_multiplier's region rule, one sample at a time."""
+    u = 1.0 - prob.A @ w - float(b) * prob.y
+    lam = np.zeros(prob.m)
+    active = []
+    for i, u_i in enumerate(u):
+        if abs(u_i) <= region_tol:
+            active.append(i)
+        elif 0.0 < u_i < 1.0 and abs(u_i - 1.0) > region_tol:
+            lam[i] = -C
+    target = np.concatenate((-w, [0.0]))
+    if active:
+        sol, *_ = np.linalg.lstsq(
+            prob.B.T[:, active], target - prob.B.T @ lam, rcond=None
+        )
+        lam[active] = sol
+    return lam, float(np.max(np.abs(prob.B.T @ lam - target)))
+
+
 def _around(x):
     """x and its two floating-point neighbours."""
     return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
@@ -207,26 +279,10 @@ def test_check_kkt_matches_scalar_rule():
             )
 
 
-def _check_region_rule(w, b, prob, C):
-    """recover_multiplier against polish_reference, which classifies one
-    sample at a time: off the margin set the region rule's -C or 0 exactly,
-    on it the dense solve's multiplier, and the move of its margins."""
-    lam, move = recover_multiplier(w, b, prob, C)
-    u = 1.0 - prob.A @ w - b * prob.y
-    ref_w, ref_b, ref_lam = polish_reference(
-        PrimalDualPoint(w=w, b=b, u=u, lam=np.zeros(prob.m)), prob, C
-    )
-    on = np.abs(u) <= 1e-3
-    assert np.array_equal(lam[~on], ref_lam[~on])
-    assert np.allclose(lam[on], ref_lam[on], rtol=0.0, atol=1e-9)
-    ref_u = 1.0 - prob.A @ ref_w - ref_b * prob.y
-    assert abs(move - np.max(np.abs(ref_u - u))) <= 1e-9
-
-
 def test_recover_multiplier_matches_scalar_rule():
     rng = np.random.default_rng(22)
     C = 0.7
-    rt = 1e-3  # recover_multiplier's _REGION_TOL
+    rt = DEFAULT_TOL  # the tolerance recover_multiplier classifies at
     # Margins near -rt and rt: a sample with x = y has u = -b * y exactly
     # at w = 1, so b = rt and its neighbours put u on both sides of +-rt.
     X = np.concatenate(([1.0, -1.0, 1.0, -1.0], rng.uniform(-2.0, 2.0, 6)))
@@ -236,7 +292,9 @@ def test_recover_multiplier_matches_scalar_rule():
         w = np.array([1.0])
         u = 1.0 - near_zero.A @ w - b * near_zero.y
         assert b in u and -b in u
-        _check_region_rule(w, b, near_zero, C)
+        lam, resid = recover_multiplier(w, b, near_zero, C)
+        ref_lam, ref_resid = _scalar_recover_multiplier(w, b, near_zero, C, rt)
+        assert np.array_equal(lam, ref_lam) and resid == ref_resid, b
     # Margins near 1 - rt and 1: at w = 1, b = 0 a sample with y = 1 and
     # x = 1 - t has u = t exactly for t in [0.5, 1].
     targets = _around(1.0 - rt) + [np.nextafter(1.0, 0.0), 1.0]
@@ -244,64 +302,17 @@ def test_recover_multiplier_matches_scalar_rule():
     near_one = build_problem(Dataset(X=X[:, None], y=np.ones(X.size)))
     w = np.array([1.0])
     assert set(targets) <= set(1.0 - near_one.A @ w)
-    _check_region_rule(w, 0.0, near_one, C)
+    lam, resid = recover_multiplier(w, 0.0, near_one, C)
+    ref_lam, ref_resid = _scalar_recover_multiplier(w, 0.0, near_one, C, rt)
+    assert np.array_equal(lam, ref_lam) and resid == ref_resid
     # Random points.
     for _ in range(20):
         X = rng.uniform(-2.0, 2.0, size=(15, 2))
         prob = build_problem(Dataset(X=X, y=rng.choice([-1.0, 1.0], 15)))
         w, b = rng.standard_normal(2), float(rng.standard_normal())
-        _check_region_rule(w, b, prob, C)
-
-
-def _on_margin(rng, y, w, b, u):
-    """Samples a_i = y_i x_i with labels y and margins u at (w, b)."""
-    d = rng.uniform(-1.5, 1.5, (y.size, w.size))
-    a = d + ((1.0 - u - b * y) - d @ w)[:, None] * w / (w @ w)
-    return Dataset(X=y[:, None] * a, y=y)
-
-
-def _pattern_problem(rng, on, dup, w, b):
-    """A 2-feature problem whose first `on` samples sit on the margin of a
-    point within 2e-4 of (w, b), labels alternating, the last `dup` of them
-    repeating the first; then one sample in each other class at (w, b):
-    band, below 0, beyond 1, and one at u = 1 + 2e-4."""
-    near = np.append(w, b) + rng.uniform(-2e-4, 2e-4, 3)
-    y_on = np.resize([1.0, -1.0], on - dup)
-    S = _on_margin(rng, y_on, near[:2], near[2], np.zeros(y_on.size))
-    off = np.array([0.5, 0.2, 0.8, -0.7, -1.5, 1.6, 2.5, 1.0 + 2e-4])
-    rest = _on_margin(rng, rng.choice([-1.0, 1.0], off.size), w, b, off)
-    X = np.concatenate((S.X, S.X[:dup], rest.X))
-    y = np.concatenate((S.y, S.y[:dup], rest.y))
-    return build_problem(Dataset(X=X, y=y))
-
-
-@pytest.mark.parametrize(
-    "on, dup",
-    [(2, 0), (3, 0), (5, 0), (4, 2)],
-    ids=["S-below-n+1", "S-equals-n+1", "S-above-n+1", "rank-deficient"],
-)
-def test_polish_matches_dense_reference(on, dup):
-    # n + 1 = 3.  Two pairs of duplicate samples give B_S rank 2 with
-    # |S| = 4, so both the (w, b) step and lambda_S have a null space.
-    rng = np.random.default_rng(31 + on + dup)
-    w, b, C = np.array([0.8, -0.6]), 0.3, 0.5
-    for _ in range(5):
-        prob = _pattern_problem(rng, on, dup, w, b)
-        u = 1.0 - prob.A @ w - b * prob.y
-        assert np.count_nonzero(np.abs(u) <= 1e-3) == on
-        rank = np.linalg.matrix_rank(prob.B[np.abs(u) <= 1e-3])
-        assert rank == min(on - dup, 3)
-        point = PrimalDualPoint(w, b, u, rng.uniform(-C, 0.0, prob.m))
-        polished, move = polish(point, prob, C)
-        ref_w, ref_b, ref_lam = polish_reference(point, prob, C)
-        assert np.allclose(polished.w, ref_w, rtol=0.0, atol=1e-9)
-        assert abs(polished.b - ref_b) <= 1e-9
-        assert np.allclose(polished.lam, ref_lam, rtol=0.0, atol=1e-9)
-        assert move == np.max(np.abs(polished.u - u))
-        # The polished point solves the system exactly on its pattern.
-        assert np.max(np.abs(polished.u[np.abs(u) <= 1e-3])) <= 1e-12
-        grad = prob.B.T @ polished.lam + np.append(polished.w, 0.0)
-        assert np.max(np.abs(grad)) <= 1e-12
+        lam, resid = recover_multiplier(w, b, prob, C)
+        ref_lam, ref_resid = _scalar_recover_multiplier(w, b, prob, C, rt)
+        assert np.array_equal(lam, ref_lam) and resid == ref_resid
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.inf, np.nan])

@@ -313,12 +313,10 @@ def test_certify_rejects_non_finite_point(
         assert captured.err == f"error: {name} must be finite\n"
 
 
-def test_certify_polishes_every_margin_at_zero(capsys, tmp_path):
+def test_certify_recovers_every_margin_at_zero(capsys, tmp_path):
     # m = 8000 samples all on the margin of w = (1, 0), b = 0, as a trainer
-    # iterate whose prox zeroed every u: the polish is one thin QR of the
-    # 8000 x 3 matrix B_S, where a dense solve of the (3 + 8000)-square
-    # system would need 512 MB.  The report carries the move, and no
-    # multiplier residual.
+    # iterate whose prox zeroed every u: recovery solves for all 8000
+    # on-margin multipliers by least squares on the 3 x 8000 system.
     rng = np.random.default_rng(8000)
     y = np.resize([1.0, -1.0], 8000)
     X = np.column_stack((y, rng.uniform(-2.0, 2.0, y.size)))
@@ -329,10 +327,32 @@ def test_certify_polishes_every_margin_at_zero(capsys, tmp_path):
     )
     assert code == 0
     result = json.loads(out)["result"]
-    assert "multiplier_residual" not in result
-    assert result["move"] <= 1e-12
     assert result["verdict"] == "p-stationary"
     assert max(abs(u) for u in result["point"]["u"]) <= 1e-12
+
+
+def test_certify_grades_given_lambda_as_it_stands(capsys, counterexample_csv):
+    # The counterexample grades kkt-only with its recovered multiplier; a
+    # positive --lambda misses every KKT interval and grades neither, and
+    # the report carries that lambda unchanged.
+    point = counterexample_point()
+    argv = [
+        "certify",
+        "--data", str(counterexample_csv),
+        "--w=" + ",".join(repr(float(v)) for v in point.w),
+        "--b=" + repr(float(point.b)),
+        "--C", repr(COUNTEREXAMPLE_C),
+    ]
+    results = []
+    for extra in ([], ["--lambda=5,5,5"]):
+        code, out = run_cli(capsys, *argv, *extra)
+        assert code == 0
+        results.append(json.loads(out)["result"])
+    assert results[0]["verdict"] == "kkt-only"
+    assert results[1]["verdict"] == "neither"
+    assert results[1]["point"]["lambda"] == [5.0, 5.0, 5.0]
+    assert results[1]["kkt"]["r_multiplier"] == 5.0
+    assert "multiplier_residual" not in results[0]
 
 
 _STEP_SWEEP = [f"1e{k}" for k in range(-12, 4)]
