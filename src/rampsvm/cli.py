@@ -24,7 +24,6 @@ import json
 import math
 import platform
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +36,6 @@ from .certify import (
     KKTCheck,
     PrimalDualPoint,
     Verdict,
-    certify_point,
     check_pstationary,
     grade,
 )
@@ -99,15 +97,18 @@ def _dumps(obj, level: int = 0) -> str:
     return json.dumps(obj)
 
 
-def _cert_dict(cert: Certificate) -> dict:
+def _residual_dict(cert: Certificate) -> dict:
     return {
         "r_grad": cert.r_grad,
         "r_y": cert.r_y,
         "r_feas": cert.r_feas,
         "r_prox": cert.r_prox,
         "gamma": cert.gamma,
-        "verdict": cert.verdict.value,
     }
+
+
+def _cert_dict(cert: Certificate) -> dict:
+    return {**_residual_dict(cert), "verdict": cert.verdict.value}
 
 
 def _kkt_dict(chk: KKTCheck) -> dict:
@@ -221,14 +222,36 @@ def cmd_train(args) -> int:
     return _expect_exit(args, res.certificate.verdict)
 
 
-def _stationarity(point, problem, C, gammas, gamma_max) -> list[Certificate]:
-    """check_pstationary at each step; a step outside the admissible set
-    (0, gamma_max] never reads p-stationary, whatever its residuals."""
-    certs = [check_pstationary(point, problem, C, g) for g in gammas]
-    return [
-        c if c.gamma <= gamma_max else replace(c, verdict=Verdict.NEITHER)
-        for c in certs
-    ]
+def _grading_report(graded, problem, C, gammas) -> dict:
+    """The report of a graded point: grade's (cert, kkt, gamma_max, point).
+
+    Its one verdict is certify_point's.  Each stationarity row holds the
+    four residuals of check_pstationary and the per-sample prox distances at
+    one step of gammas (the verdict's own step gamma* when gammas is None),
+    and no verdict of its own.
+    """
+    cert, kkt, gamma_max, point = graded
+    gammas = gammas or [cert.gamma]
+    rows = []
+    for gamma in gammas:
+        row = _residual_dict(check_pstationary(point, problem, C, gamma))
+        s = point.u - gamma * point.lam
+        row["prox_distances"] = _floats(
+            prox_distance(point.u, s, ProxParams(gamma, C))
+        )
+        rows.append(row)
+    return {
+        "problem": _problem_dict(problem),
+        "params": {"C": C, "gammas": gammas, "tol": DEFAULT_TOL},
+        "result": {
+            "verdict": cert.verdict.value,
+            "gamma_max": None if math.isinf(gamma_max) else gamma_max,
+            "kkt": _kkt_dict(kkt),
+            "stationarity": rows,
+            "point": _point_dict(point),
+            "objective": objective(point.w, point.b, problem.dataset, C),
+        },
+    }
 
 
 def cmd_certify(args) -> int:
@@ -243,33 +266,17 @@ def cmd_certify(args) -> int:
         raise ValueError(
             f"--lambda has {len(args.lam)} entries, dataset has {problem.m} samples"
         )
-    C = args.C
-    cert, kkt, gamma_max, point = grade(w, args.b, problem, C, args.lam)
-    gammas = args.gammas if args.gammas else [cert.gamma]
+    graded = grade(w, args.b, problem, args.C, args.lam)
     digest = _digest(
         args.data,
         w=_floats(w),
         b=args.b,
-        C=C,
+        C=args.C,
         gammas=args.gammas,
         lam=None if args.lam is None else _floats(args.lam),
     )
-    report = {
-        "problem": _problem_dict(problem),
-        "params": {"C": C, "gammas": list(gammas), "tol": DEFAULT_TOL},
-        "result": {
-            "verdict": cert.verdict.value,
-            "gamma_max": None if math.isinf(gamma_max) else gamma_max,
-            "stationarity": [
-                _cert_dict(c)
-                for c in _stationarity(point, problem, C, gammas, gamma_max)
-            ],
-            "kkt": _kkt_dict(kkt),
-            "point": _point_dict(point),
-        },
-    }
-    _emit(args, digest, report)
-    return _expect_exit(args, cert.verdict)
+    _emit(args, digest, _grading_report(graded, problem, args.C, args.gammas))
+    return _expect_exit(args, graded[0].verdict)
 
 
 def cmd_prox_eval(args) -> int:
@@ -330,32 +337,13 @@ def cmd_support_vectors(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    """The grading report of the bundled KKT-only fixture."""
     gammas = args.gammas if args.gammas else list(COUNTEREXAMPLE_GAMMAS)
-    dataset = counterexample_dataset()
-    problem = build_problem(dataset)
+    problem = build_problem(counterexample_dataset())
     point = counterexample_point()
-    C = COUNTEREXAMPLE_C
-    cert, kkt, gamma_max = certify_point(point, problem, C)
-    stationarity = []
-    for row in _stationarity(point, problem, C, gammas, gamma_max):
-        s = point.u - row.gamma * point.lam
-        entry = _cert_dict(row)
-        entry["prox_distances"] = _floats(
-            prox_distance(point.u, s, ProxParams(row.gamma, C))
-        )
-        stationarity.append(entry)
-    report = {
-        "problem": _problem_dict(problem),
-        "params": {"C": C, "gammas": list(gammas), "tol": DEFAULT_TOL},
-        "result": {
-            "verdict": cert.verdict.value,
-            "kkt": _kkt_dict(kkt),
-            "stationarity": stationarity,
-            "point": _point_dict(point),
-            "objective": objective(point.w, point.b, dataset, C),
-        },
-    }
-    _emit(args, _digest(gammas=list(gammas)), report)
+    graded = grade(point.w, point.b, problem, COUNTEREXAMPLE_C, point.lam)
+    report = _grading_report(graded, problem, COUNTEREXAMPLE_C, gammas)
+    _emit(args, _digest(gammas=gammas), report)
     return 0
 
 

@@ -87,8 +87,11 @@ class ProblemData:
     A: np.ndarray
     y: np.ndarray
     B: np.ndarray
-    full_column_rank: bool
     lambda_h: float | None
+
+    @property
+    def full_column_rank(self) -> bool:
+        return self.lambda_h is not None
 
     @property
     def m(self) -> int:
@@ -109,7 +112,6 @@ def build_problem(dataset: Dataset) -> ProblemData:
         arr.setflags(write=False)
 
     lam = None
-    full_rank = False
     if m >= n + 1:
         G = B.T @ B
         try:
@@ -119,18 +121,10 @@ def build_problem(dataset: Dataset) -> ProblemData:
         if cf is not None:
             d = np.abs(np.diag(cf[0]))
             if d.min() >= _RANK_RTOL * d.max():
-                full_rank = True
                 H = scipy.linalg.cho_solve(cf, B.T)
                 H[-1, :] = 0.0
                 lam = float(np.linalg.eigvalsh(H @ H.T)[-1])
-    return ProblemData(
-        dataset=dataset,
-        A=A,
-        y=y,
-        B=B,
-        full_column_rank=full_rank,
-        lambda_h=lam,
-    )
+    return ProblemData(dataset=dataset, A=A, y=y, B=B, lambda_h=lam)
 
 
 def spd_solver(M):

@@ -172,7 +172,7 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
             iterations=iters,
             objective=objective(point.w, point.b, problem.dataset, C),
             status=status,
-            diagnostics={"sigma": sigma, "gamma": gamma, **diag},
+            diagnostics=diag,
         )
 
     def diverged(reason, iters):
@@ -296,13 +296,8 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
     best_it, z, u, lam = best
     point = PrimalDualPoint(w=z[:n], b=z[n], u=u, lam=lam)
     cert = check_pstationary(point, problem, C, gamma, tol)
-    return result(
-        SolveStatus.MAX_ITER,
-        point,
-        cert,
-        max_iter,
-        {"max_residual": cert.max_residual, "best_iteration": best_it, **cycle},
-    )
+    diag = {"best_iteration": best_it, **cycle}
+    return result(SolveStatus.MAX_ITER, point, cert, max_iter, diag)
 
 
 # Relative size below which a determinant or projection counts as zero:

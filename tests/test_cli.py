@@ -180,7 +180,7 @@ def test_certify_fixture_point(capsys, counterexample_csv):
     assert report["result"]["gamma_max"] == 0.0
     # Without --gammas the one row is the verdict's own step, 2/C here.
     [row] = report["result"]["stationarity"]
-    assert row["gamma"] == 8.0 and row["verdict"] == "neither"
+    assert row["gamma"] == 8.0 and "verdict" not in row
 
 
 def test_certify_expect_failure_exit_code(capsys, counterexample_csv):
@@ -361,7 +361,8 @@ _STEP_SWEEP = [f"1e{k}" for k in range(-12, 4)]
 def test_counterexample_never_pstationary_at_any_step(capsys, counterexample_csv):
     # The sample at u = 1 admits no prox step, so no --gammas value can
     # certify the point, through either command.  At small steps the four
-    # residuals alone fall within tol.
+    # residuals alone fall within tol, and the rows still carry no verdict:
+    # the report's one verdict and gamma_max do not depend on --gammas.
     point = counterexample_point()
     certify = [
         "certify",
@@ -377,14 +378,50 @@ def test_counterexample_never_pstationary_at_any_step(capsys, counterexample_csv
             assert code == 0
             result = json.loads(out)["result"]
             assert result["verdict"] == "kkt-only", (argv[0], gamma)
+            assert result["gamma_max"] == 0.0, (argv[0], gamma)
             [row] = result["stationarity"]
             assert row["gamma"] == float(gamma)
-            assert row["verdict"] == "neither"
+            assert "verdict" not in row and "p-stationary" not in out
             small_rows += row["r_prox"] <= 1e-6
     assert small_rows > 0
-    code, out = run_cli(capsys, *certify)
+    for argv in (certify, ["counterexample"]):
+        code, out = run_cli(capsys, *argv)
+        result = json.loads(out)["result"]
+        assert result["gamma_max"] == 0.0 and result["verdict"] == "kkt-only"
+        assert all("verdict" not in row for row in result["stationarity"])
+
+
+def test_certify_rows_carry_no_verdict(capsys, tmp_path):
+    # KKT fails on the multiplier by 5e-6, so the one verdict is neither,
+    # though the four residuals at gamma = 0.1 pass (r_prox = 5e-7): no row
+    # may read p-stationary beside it.
+    path = tmp_path / "three.csv"
+    write_csv(Dataset(X=[[1.0], [-1.0], [3.0]], y=[1.0, -1.0, 1.0]), path)
+    code, out = run_cli(
+        capsys,
+        "certify", "--data", str(path), "--w", "1", "--b", "0", "--C", "1",
+        "--lambda=-0.50001,-0.500005,5e-06", "--gammas", "0.1",
+    )
+    assert code == 0
     result = json.loads(out)["result"]
-    assert result["gamma_max"] == 0.0 and result["verdict"] == "kkt-only"
+    assert result["verdict"] == "neither"
+    assert result["kkt"]["r_multiplier"] == pytest.approx(5e-6)
+    [row] = result["stationarity"]
+    assert max(row[k] for k in ("r_grad", "r_y", "r_feas", "r_prox")) <= 1e-6
+    assert "p-stationary" not in out
+
+
+def test_numerical_failure_exit_code(capsys, monkeypatch, counterexample_csv):
+    def fail(dataset):
+        raise np.linalg.LinAlgError("x")
+
+    monkeypatch.setattr("rampsvm.cli.build_problem", fail)
+    capsys.readouterr()
+    code = main(["train", "--data", str(counterexample_csv), "--C", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "numerical failure: x\n"
+    assert captured.out == ""
 
 
 def test_prox_eval_matches_library(capsys):
@@ -581,7 +618,6 @@ def _ce_row(gamma, distances):
         "r_grad": 0.0,
         "r_prox": max(distances),
         "r_y": 0.0,
-        "verdict": "neither",
     }
 
 
@@ -605,6 +641,7 @@ COUNTEREXAMPLE_REPORT = {
             "r_multiplier": 0.0,
             "r_y": 0.0,
         },
+        "gamma_max": 0.0,
         "objective": 0.5,
         "point": {
             "b": -2.0,

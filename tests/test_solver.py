@@ -97,9 +97,8 @@ def test_train_max_iter_returns_best_iterate():
     prob = build_problem(gen_synthetic(8, 4.0, 0.1, 0))
     res = train_admm(prob, SolverConfig(C=1.0, max_iter=60))
     assert res.status is SolveStatus.MAX_ITER and res.iterations == 60
-    assert res.diagnostics["best_iteration"] == 2
+    assert res.diagnostics == {"best_iteration": 2}
     assert res.certificate.max_residual == pytest.approx(1.1365, abs=1e-4)
-    assert res.diagnostics["max_residual"] == res.certificate.max_residual
     # The certificate and objective belong to the returned point.
     again = check_pstationary(res.point, prob, 1.0, res.certificate.gamma, 1e-6)
     assert again == res.certificate
@@ -564,6 +563,14 @@ def test_predict_signs():
 
 
 def test_diagnostics_present():
+    # Diagnostics hold only what the report's params and certificate do not:
+    # a diverged run's reason, a max-iter run's best iteration (and cycle).
     prob = build_problem(symmetric_pair_dataset())
     res = train_admm(prob, SolverConfig(C=1.0))
-    assert "sigma" in res.diagnostics and "gamma" in res.diagnostics
+    assert res.status is SolveStatus.CONVERGED and res.diagnostics == {}
+    res = train_admm(prob, SolverConfig(C=1.0, max_iter=1))
+    assert res.status is SolveStatus.MAX_ITER
+    assert res.diagnostics == {"best_iteration": 1}
+    res = train_admm(prob, SolverConfig(C=1.0, sigma=1e308))
+    assert res.status is SolveStatus.DIVERGED
+    assert set(res.diagnostics) == {"reason"}
