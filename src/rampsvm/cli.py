@@ -324,7 +324,6 @@ def cmd_support_vectors(args) -> int:
                 "indices": list(support.indices),
                 "lambdas": _floats(support.lambdas),
                 "margins": _floats(support.margins),
-                "source_verdict": verdict.value,
             },
             "margin_check": margin_check,
             "margin_check_skipped": skipped,

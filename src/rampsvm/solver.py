@@ -26,9 +26,11 @@ of all of them would.
 
 The global oracle is exact over a (w, b) box for n <= 2: it enumerates the
 O(C(2m + 2d, d)) vertices of the arrangement of kink planes and box facets,
-d = n + 1, and the faces through them.  It exists as an independent
-reference for testing stationarity claims at true minimizers, not as a
-practical trainer.
+d = n + 1, and the faces through them, and solves each distinct face (its
+flat and its band set) once, with closed-form solves: cross products for
+the vertices and line directions, Cramer's rule for the faces.  It exists
+as an independent reference for testing stationarity claims at true
+minimizers, not as a practical trainer.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -305,27 +307,89 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
 _SINGULAR = 1e-12
 
 
+def _cross(R):
+    """Normal to the d - 1 rows of each R[i] in R^d, d <= 3, by cofactor
+    expansion: the cross product for d = 3, the quarter turn (x1, -x0) for
+    d = 2.  Its length is the volume that the rows span."""
+    d = R.shape[-1]
+    if d == 1:
+        return np.ones(R.shape[:-2] + (1,))
+    if d == 2:
+        return np.stack((R[..., 0, 1], -R[..., 0, 0]), axis=-1)
+    return np.cross(R[..., 0, :], R[..., 1, :])
+
+
+def _cramer(G, h):
+    """Cramer's rule for the stacked d x d systems G x = h, d <= 3.
+
+    Returns det(G) and adj(G) h, whose ratio is x where det(G) != 0.
+    Column j of adj(G) is the cofactor normal to every row of G but row j.
+    """
+    d = G.shape[-1]
+    adj = np.stack(
+        [
+            (-1) ** (j * (d - 1)) * _cross(G[:, [(j + i) % d for i in range(1, d)]])
+            for j in range(d)
+        ],
+        axis=-1,
+    )
+    return np.sum(G[:, 0] * adj[..., 0], axis=1), (adj @ h[..., None])[..., 0]
+
+
+def _first_rows(K):
+    """Indices of the first of each distinct row of the integer K, in order."""
+    order = np.lexsort(K.T[::-1])  # stable, so a run starts at its first row
+    K = K[order]
+    new = np.ones(len(K), dtype=bool)
+    new[1:] = np.any(K[1:] != K[:-1], axis=1)
+    return np.sort(order[new])
+
+
+def _bits(count):
+    """Row j holds bit j of a key packed into 64-bit words."""
+    j = np.arange(count, dtype=np.uint64)
+    bits = np.zeros((count, (count + 63) // 64), dtype=np.uint64)
+    bits[j, j // 64] = np.uint64(1) << j % 64
+    return bits
+
+
+def _project(D, NP):
+    """Products of the directions D[v, f] with the normals NP[v]; those
+    below _SINGULAR |D[v, f]| are taken to be 0."""
+    proj = D @ NP.swapaxes(1, 2)
+    proj[np.abs(proj) <= _SINGULAR * np.linalg.norm(D, axis=2, keepdims=True)] = 0.0
+    return proj
+
+
+def _signed(*D):
+    """The rows D[0][v, f], D[1][v, f], ... stacked under every sign
+    pattern, the first row's sign slowest, then f."""
+    signs = np.array(list(product((1.0, -1.0), repeat=len(D))))
+    X = np.stack(D, axis=2)
+    return (signs[:, None, :, None] * X[:, None]).reshape(len(X), -1, *X.shape[2:])
+
+
 def _faces(NP):
     """Faces through vertices v whose active planes have the unit normals NP.
 
-    Yields direction rows U per vertex and face; the face's flat is
-    v + U^T alpha, and an active plane is crossed on the side of the first
-    row not in it.  Each line where d - 1 active planes meet gives its two
-    edges, U = (+-t).  For d = 3, each of the two planes also gives the four
-    faces in it next to those edges, U = (+-t, +-s), s normal to the line.
-    Every 2-D face has an edge, so O(k^2) choices for k planes reach all.
+    Yields direction rows U per vertex and face, and their products with
+    NP as _project gives them; the face's flat is v + U^T alpha, and an
+    active plane is crossed on the side of the first row not in it.  Each
+    line where d - 1 active planes meet gives its two edges, U = (+-t).
+    For d = 3, each of the two planes also gives the four faces in it next
+    to those edges, U = (+-t, +-s), s normal to the line.  Every 2-D face
+    has an edge, so O(k^2) choices for k planes reach all.
     """
     k, d = NP.shape[1:]
     E = NP[:, np.array(list(combinations(range(k), d - 1)), dtype=int)]
-    cofactors = [(-1) ** i * np.linalg.det(np.delete(E, i, axis=3)) for i in range(d)]
-    t = np.stack(cofactors, axis=-1)
-    yield np.concatenate((t, -t), axis=1)[:, :, None, :]
+    t = _cross(E)
+    pt = _project(t, NP)
+    yield _signed(t), _signed(pt)
     if d == 3:
         o = E[:, :, ::-1]
         s = (o - np.sum(o * E, axis=3, keepdims=True) * E).reshape(len(E), -1, d)
-        t = np.repeat(t, 2, axis=1)
-        t = np.concatenate((t, t, -t, -t), axis=1)
-        yield np.stack((t, np.concatenate((s, -s, s, -s), axis=1)), axis=2)
+        t, pt = np.repeat(t, 2, axis=1), np.repeat(pt, 2, axis=1)
+        yield _signed(t, s), _signed(pt, _project(s, NP))
 
 
 def _candidates(T, N, r, box, C, B) -> np.ndarray:
@@ -334,44 +398,59 @@ def _candidates(T, N, r, box, C, B) -> np.ndarray:
     Every in-box vertex is one, and so is the minimizer of 1/2 |w|^2 + g^T z
     on the flat of every face through it, with g = -C sum B_i over the
     samples inside the band on that face; these get clipped into the box.
-    Flats free along b are skipped: their minimum is also on a lower face.
+    That minimizer depends only on the face's flat (the planes that hold
+    it) and its band set, so only the first (vertex, face) pair with each
+    such key is solved.  Flats free along b are skipped: their minimum is
+    also on a lower face.
     """
     m, d = B.shape
-    T = T[np.abs(np.linalg.det(N[T])) > _SINGULAR]
-    V = np.linalg.solve(N[T], r[T][..., None])[..., 0]
+    det, x = _cramer(N[T], r[T])
+    keep = np.abs(det) > _SINGULAR
+    V = x[keep] / det[keep, None]
     # Vertices on the box may stray out of it by rounding; they get clipped.
     slack = 1e-10 * (1.0 + np.abs(box).max())
     V = V[np.all((V >= box[:, 0] - slack) & (V <= box[:, 1] + slack), axis=1)]
     # A plane within this residual counts as active, which only adds faces.
     size = 1.0 + np.abs(V).max(axis=1, keepdims=True)
     active = np.abs(V @ N.T - r) <= 1e-9 * size
+    # A key has a bit per plane, set if the plane holds the face, and one
+    # per sample, set if the sample is inside the band on the face.
+    bits = _bits(len(r) + m)
+    plane_bits, sample_bits = bits[: len(r)], bits[len(r) :]
+    band_bits = np.vstack((sample_bits, sample_bits, np.zeros_like(plane_bits[: 2 * d])))
     # Its active planes fix a vertex; several subsets cut out a degenerate one.
-    first = np.sort(np.unique(active, axis=0, return_index=True)[1])
+    first = _first_rows(active @ plane_bits)
     V, active = V[first], active[first]
     u = 1.0 - V @ B.T
     inside = (u > 0.0) & (u < 1.0) & ~(active[:, :m] | active[:, m : 2 * m])
-    g_vertex = -C * (inside @ B)
+    g_vertex, inside_key = -C * (inside @ B), inside @ sample_bits
     S = np.vstack((B, B, np.zeros((2 * d, d))))  # B_i of each kink plane
-    found = [V]
+    pairs, keys = [], []
     counts = active.sum(axis=1)
     for k in np.unique(counts):
         rows = np.flatnonzero(counts == k)
         P = np.nonzero(active[rows])[1].reshape(rows.size, k)
-        for U in _faces(N[P]):
-            proj = U @ N[P][:, None].swapaxes(2, 3)
-            tol = _SINGULAR * np.linalg.norm(U, axis=3, keepdims=True)
-            proj[np.abs(proj) <= tol] = 0.0
+        for U, proj in _faces(N[P]):
             # Each active plane is crossed along the first row of U not in it.
             cross = np.where(proj[:, :, 0] == 0.0, proj[:, :, -1], proj[:, :, 0])
-            band = (cross > 0.0) & (P < 2 * m)[:, None, :]
-            g = g_vertex[rows, None, :] - C * (band @ S[P])
-            # Minimize over alpha: (Uw Uw^T) alpha = -(Uw w_v + U g).
-            Uw = U[..., :-1]
-            A = Uw @ Uw.swapaxes(2, 3)
-            rhs = -(Uw @ V[rows, None, :-1, None] + U @ g[..., None])
-            ok = np.linalg.det(A) > _SINGULAR * np.linalg.det(U @ U.swapaxes(2, 3))
-            step = np.linalg.solve(A[ok], rhs[ok]).swapaxes(1, 2) @ U[ok]
-            found.append(np.broadcast_to(V[rows, None], g.shape)[ok] + step[:, 0])
+            band = cross > 0.0  # a box plane has no band bit and S row 0
+            key = np.all(proj == 0.0, axis=2) @ plane_bits[P] + band @ band_bits[P]
+            keys.append((key + inside_key[rows, None]).reshape(-1, bits.shape[1]))
+            pairs.append((rows, P, U, band))
+    sizes = [len(key) for key in keys]
+    first = np.zeros(sum(sizes), dtype=bool)
+    first[_first_rows(np.concatenate(keys))] = True
+    found = [V]
+    for (rows, P, U, band), pick in zip(pairs, np.split(first, np.cumsum(sizes)[:-1])):
+        i, f = np.nonzero(pick.reshape(band.shape[:2]))
+        v, U = V[rows[i]], U[i, f]
+        g = g_vertex[rows[i]] - C * (band[i, f, None] @ S[P[i]])[:, 0]
+        # Minimize over alpha: (Uw Uw^T) alpha = -(Uw w_v + U g).
+        Uw = U[..., :-1]
+        h = -(Uw @ v[:, :-1, None] + U @ g[..., None])[..., 0]
+        det, x = _cramer(Uw @ Uw.swapaxes(1, 2), h)
+        ok = det > _SINGULAR * _cramer(U @ U.swapaxes(1, 2), h)[0]
+        found.append(v[ok] + ((x[ok] / det[ok, None])[:, None] @ U[ok])[:, 0])
     return np.clip(np.concatenate(found), box[:, 0], box[:, 1])
 
 
@@ -385,11 +464,14 @@ def global_oracle(
     box facets added as planes, every face in the box has a vertex, where d
     planes with independent normals meet.  A minimizer minimizes its face's
     quadratic over the face's flat, or lies on a lower face as well.  So
-    the oracle visits the O(C(2m + 2d, d)) vertices, minimizes over the flat
-    of every face through each one, and keeps the first best candidate in a
-    fixed order, so repeated calls agree bit for bit.  bounds holds one
-    (lo, hi) pair per coordinate of (w, b).  Returns (w, b, value) with
-    value = objective(w, b).
+    the oracle visits the O(C(2m + 2d, d)) vertices and the faces through
+    each one.  That quadratic depends only on the face's flat (the planes
+    that hold it) and its band set (the samples with 0 < u < 1 on it), so
+    it is minimized in closed form once per distinct flat and band set, from
+    the first (vertex, face) pair that has them.  Ties go to the first best
+    candidate in a fixed order, so repeated calls agree bit for bit.
+    bounds holds one (lo, hi) pair per coordinate of (w, b).  Returns
+    (w, b, value) with value = objective(w, b).
     """
     n = problem.n
     if n > 2:

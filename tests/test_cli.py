@@ -464,6 +464,18 @@ def test_support_vectors_report(capsys, easy_csv):
         assert report["result"]["margin_check"]["holds"] is True
 
 
+def test_support_vectors_support_keys(capsys, easy_csv):
+    # The trainer's verdict is reported once, in result.certificate.
+    code, out = run_cli(
+        capsys,
+        "support-vectors", "--data", str(easy_csv), "--C", "1.0", "--sigma", "0.5",
+    )
+    result = json.loads(out)["result"]
+    assert code == 0
+    assert set(result["support"]) == {"indices", "lambdas", "margins"}
+    assert result["certificate"]["verdict"] == "p-stationary"
+
+
 @pytest.mark.parametrize(
     "sigma, code, skipped",
     [

@@ -378,29 +378,51 @@ def test_train_diverged_status():
         )
 
 
+# Integer-grid instances.  Every plane u_i = 1 (B_i z = 0) passes through
+# z = 0, so m >= 4 planes meet at that vertex; repeated and collinear
+# samples add coincident planes and more such vertices.  The two sets with
+# m = 6 have tied minima at distinct points.
+_GRID_INSTANCES = [
+    ([[-1], [1], [0], [-1]], [1, -1, -1, 1]),
+    ([[0], [1], [2], [-1], [1]], [1, 1, -1, -1, -1]),
+    ([[1], [2], [-1], [-2], [0], [0]], [1, 1, -1, -1, 1, -1]),
+    ([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, -1, -1]),
+    ([[1, 1], [-1, -1], [1, -1], [-1, 1]], [1, -1, 1, -1]),
+    ([[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]], [1, 1, -1, -1, 1, -1]),
+    ([[1, 1], [1, 1], [-1, 0], [0, -1], [2, 2]], [1, -1, 1, -1, 1]),
+]
+
+
 def test_oracle_matches_enumeration():
-    # Independent check on five random tiny instances: the arrangement
-    # enumeration must land on the exact combinatorial minimum.
+    # Independent check on five random tiny instances and the grid ones:
+    # the arrangement enumeration must land on the exact combinatorial
+    # minimum.
     rng = np.random.default_rng(21)
-    checked = 0
-    while checked < 5:
+    datasets = []
+    while len(datasets) < 5:
         m = int(rng.integers(3, 7))
         X = rng.uniform(-2.0, 2.0, size=(m, 2))
         y = rng.choice([-1.0, 1.0], size=m)
         ds = Dataset(X=X, y=y)
+        if build_problem(ds).full_column_rank:
+            datasets.append(ds)
+    datasets += [
+        Dataset(X=np.array(X, float), y=np.array(y, float)) for X, y in _GRID_INSTANCES
+    ]
+    C = 1.0
+    found = []
+    for ds in datasets:
         prob = build_problem(ds)
-        if not prob.full_column_rank:
-            continue
-        checked += 1
-        C = 1.0
         f_star = kkt_enumerate(prob, ds, C)[0][0]
-        wb = math.sqrt(2.0 * C * m) + 0.5
+        wb = math.sqrt(2.0 * C * prob.m) + 0.5
         bb = 1.0 + float(np.linalg.norm(prob.A, axis=1).max()) * wb + 0.5
-        _, _, f_hat = global_oracle(
-            prob, C, bounds=((-wb, wb), (-wb, wb), (-bb, bb))
-        )
-        assert f_hat == pytest.approx(f_star, abs=1e-9)
+        w, b, f_hat = global_oracle(prob, C, bounds=[(-wb, wb)] * prob.n + [(-bb, bb)])
+        assert f_hat == pytest.approx(f_star, abs=1e-9), ds
         assert f_hat >= f_star - 1e-12
+        found.append((*w, b, f_hat))
+    # The first grid set, where two samples share x = -1: f = 1.5 at
+    # (w, b) = (-1, 0).
+    assert found[5] == pytest.approx((-1.0, 0.0, 1.5), abs=1e-9)
 
 
 def test_oracle_counterexample_exact():
@@ -500,9 +522,75 @@ _KKT_MINIMA = {
 }
 
 
+# The oracle's (f0, f1) on every pair of data seeds 100-159, recorded from
+# the enumeration that solved every face once per vertex through it.
+_PAIR_VALUES = {
+    100: (2.2027587256326164, 3.2027587256326164),
+    101: (0.49651294143316893, 1.496512941433169),
+    102: (0.5856667748584502, 1.58566677485845),
+    103: (0.20057793733976936, 1.2005779373397694),
+    104: (1.018921466087427, 2.018921466087427),
+    105: (1.2019305134807738, 2.2019305134807734),
+    106: (0.2870366763819234, 1.2870366763819232),
+    107: (1.3831314621203938, 2.3831314621203936),
+    108: (1.5814035311067496, 2.5814035311067496),
+    109: (0.28692377440744593, 1.286923774407446),
+    110: (1.4942991372690142, 2.494299137269014),
+    111: (0.5501358749709907, 1.5501358749709908),
+    112: (0.6764039577418437, 1.6764039577418437),
+    113: (0.28524497444516184, 1.285244974445162),
+    114: (1.1783644876710817, 2.178364487671082),
+    115: (0.36725513314888436, 1.3672551331488845),
+    116: (1.4359751867187205, 2.4359751867187205),
+    117: (0.4485051593275861, 1.4485051593275862),
+    118: (0.6918595122441905, 1.6918595122441906),
+    119: (0.6147939750660916, 1.6147939750660916),
+    120: (0.3099085859971656, 1.3099085859971655),
+    121: (1.453316109436542, 2.4533161094365417),
+    122: (1.3816792640221018, 2.3816792640221016),
+    123: (1.7711607798969018, 2.771160779896902),
+    124: (1.3277029522354404, 2.32770295223544),
+    125: (0.42655836871862324, 1.4265583687186232),
+    126: (0.9156683481841925, 1.9156683481841925),
+    127: (1.594590476011689, 2.594590476011689),
+    128: (1.2327612994901183, 2.232761299490118),
+    129: (0.36589289149447884, 1.3658928914944788),
+    130: (0.25115073680327366, 1.2511507368032737),
+    131: (1.4282132051284795, 2.4282132051284795),
+    132: (1.283092871980291, 2.283092871980291),
+    133: (2.32158661567932, 3.32158661567932),
+    134: (0.24363873318280527, 1.2436387331828052),
+    135: (0.664227720437116, 1.664227720437116),
+    136: (0.7312781940410875, 1.7312781940410877),
+    137: (1.545526109343478, 2.545526109343478),
+    138: (2.2840451480133797, 3.2840451480133797),
+    139: (1.1132730494615037, 2.1132730494615037),
+    140: (2.5561225426553733, 3.2033520477953514),
+    141: (1.3552631383274951, 2.355263138327495),
+    142: (2.2381769741597326, 3.2381769741597326),
+    143: (0.36069198002446, 1.36069198002446),
+    144: (1.6584870055583334, 2.6584870055583334),
+    145: (2.0103285813129816, 3.0103285813129816),
+    146: (1.8744192115822602, 2.87441921158226),
+    147: (1.3114100524449617, 2.3114100524449617),
+    148: (1.6088560687610456, 2.6088560687610456),
+    149: (1.1937788547971013, 2.1937788547971007),
+    150: (0.3896606738101051, 1.3896606738101052),
+    151: (2.954525235092781, 3.954525235092781),
+    152: (0.6876908559012977, 1.6876908559012977),
+    153: (0.41797467833399016, 1.4179746783339902),
+    154: (0.4307659249361404, 1.4307659249361404),
+    155: (0.6088531447800128, 1.6088531447800127),
+    156: (1.5348722326222681, 2.534872232622268),
+    157: (1.1596659665688351, 2.159665966568835),
+    158: (1.0082417092383276, 2.0082417092383276),
+    159: (1.1082153924520066, 2.1082153924520064),
+}
+
+
 def test_oracle_sweep_criterion8_pairs():
     # Every pair of data seeds 100-159: adding the outlier costs at most C,
-    # every minimizer certifies, and the pinned clean minima are matched.
+    # every minimizer certifies, and the pinned minima are matched.
     for seed in range(100, 160):
         prob0, prob1, box = _criterion8_pair(seed)
         values = []
@@ -515,6 +603,7 @@ def test_oracle_sweep_criterion8_pairs():
             values.append(f)
         f0, f1 = values
         assert f0 - 1e-9 <= f1 <= f0 + 1.0 + 1e-6, f"seed {seed}: {f0}, {f1}"
+        assert values == pytest.approx(_PAIR_VALUES[seed], abs=1e-12), seed
         if seed in _KKT_MINIMA:
             assert f0 == pytest.approx(_KKT_MINIMA[seed], abs=1e-9), seed
 
