@@ -26,11 +26,12 @@ of all of them would.
 
 The global oracle is exact over a (w, b) box for n <= 2: it enumerates the
 O(C(2m + 2d, d)) vertices of the arrangement of kink planes and box facets,
-d = n + 1, and the faces through them, and solves each distinct face (its
-flat and its band set) once, with closed-form solves: cross products for
-the vertices and line directions, Cramer's rule for the faces.  It exists
-as an independent reference for testing stationarity claims at true
-minimizers, not as a practical trainer.
+d = n + 1, and generates each edge and 2-D face once, at its lowest vertex
+(the lowest-vertex rule of reverse search, Avis and Fukuda 1996).  It
+solves each distinct face (its flat and its band set) once, with
+closed-form solves: cross products for the vertices and line directions,
+Cramer's rule for the faces.  It exists as an independent reference for
+testing stationarity claims at true minimizers, not as a practical trainer.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -361,12 +362,14 @@ def _project(D, NP):
     return proj
 
 
-def _signed(*D):
-    """The rows D[0][v, f], D[1][v, f], ... stacked under every sign
-    pattern, the first row's sign slowest, then f."""
-    signs = np.array(list(product((1.0, -1.0), repeat=len(D))))
-    X = np.stack(D, axis=2)
-    return (signs[:, None, :, None] * X[:, None]).reshape(len(X), -1, *X.shape[2:])
+def _up(t):
+    """The rows of t turned up: each row's first component above
+    _SINGULAR |row| made positive, a zero row left as it is.  Both ends of
+    an edge compute its direction from the same two planes, bit for bit,
+    so they agree on which way is up."""
+    big = np.abs(t) > _SINGULAR * np.linalg.norm(t, axis=-1, keepdims=True)
+    lead = np.take_along_axis(t, np.argmax(big, axis=-1)[..., None], axis=-1)
+    return np.where(lead < 0.0, -t, t)
 
 
 def _faces(NP):
@@ -374,34 +377,49 @@ def _faces(NP):
 
     Yields direction rows U per vertex and face, and their products with
     NP as _project gives them; the face's flat is v + U^T alpha, and an
-    active plane is crossed on the side of the first row not in it.  Each
-    line where d - 1 active planes meet gives its two edges, U = (+-t).
-    For d = 3, each of the two planes also gives the four faces in it next
-    to those edges, U = (+-t, +-s), s normal to the line.  Every 2-D face
-    has an edge, so O(k^2) choices for k planes reach all.
+    active plane is crossed on the side of the first row not in it.  Only
+    faces that go up from v are yielded, so that each bounded edge and 2-D
+    face comes once, from its lowest vertex in the order that _up orients.
+    Each line where d - 1 active planes meet gives its up edge, U = (t).
+    For d = 3, at a simple vertex (k = 3 planes) each plane gives the face
+    between the up edges of its two lines, U = (t, t').  At a degenerate
+    vertex (k > 3) a plane may hold more than two lines, so each of a
+    line's two planes gives both faces in it next to its up edge,
+    U = (t, +-s), s normal to the line; every 2-D face with its lowest
+    vertex there has an up edge, so O(k^2) choices reach all.
     """
     k, d = NP.shape[1:]
-    E = NP[:, np.array(list(combinations(range(k), d - 1)), dtype=int)]
-    t = _cross(E)
+    lines = np.array(list(combinations(range(k), d - 1)), dtype=int)
+    E = NP[:, lines]
+    t = _up(_cross(E))
     pt = _project(t, NP)
-    yield _signed(t), _signed(pt)
-    if d == 3:
+    yield t[:, :, None], pt[:, :, None]
+    if d == 3 and k == 3:
+        # Line i misses plane 2 - i, so plane j contains the lines lines[j].
+        yield t[:, lines], pt[:, lines]
+    elif d == 3:
         o = E[:, :, ::-1]
         s = (o - np.sum(o * E, axis=3, keepdims=True) * E).reshape(len(E), -1, d)
         t, pt = np.repeat(t, 2, axis=1), np.repeat(pt, 2, axis=1)
-        yield _signed(t, s), _signed(pt, _project(s, NP))
+        U = np.stack((t, s), axis=2)
+        proj = np.stack((pt, _project(s, NP)), axis=2)
+        flip = np.array([[1.0], [-1.0]])  # negates the second row, s
+        yield np.hstack((U, U * flip)), np.hstack((proj, proj * flip))
 
 
 def _candidates(T, N, r, box, C, B) -> np.ndarray:
     """Candidate minimizers from the vertices that the d-subsets T cut out.
 
     Every in-box vertex is one, and so is the minimizer of 1/2 |w|^2 + g^T z
-    on the flat of every face through it, with g = -C sum B_i over the
-    samples inside the band on that face; these get clipped into the box.
-    That minimizer depends only on the face's flat (the planes that hold
-    it) and its band set, so only the first (vertex, face) pair with each
-    such key is solved.  Flats free along b are skipped: their minimum is
-    also on a lower face.
+    on the flat of every face that _faces yields at it, with g = -C sum B_i
+    over the samples inside the band on that face; these get clipped into
+    the box.  So every edge and 2-D face in the box comes from its lowest
+    vertex; a degenerate vertex may yield one twice, and faces in one flat
+    may share a band set.  That minimizer depends only on the face's flat
+    (the planes that hold it) and its band set, so one (vertex, face) pair
+    per such key is solved: the first with it, taking vertices by their
+    number of active planes and then in order, edges before 2-D faces.
+    Flats free along b are skipped: their minimum is also on a lower face.
     """
     m, d = B.shape
     det, x = _cramer(N[T], r[T])
@@ -464,12 +482,15 @@ def global_oracle(
     box facets added as planes, every face in the box has a vertex, where d
     planes with independent normals meet.  A minimizer minimizes its face's
     quadratic over the face's flat, or lies on a lower face as well.  So
-    the oracle visits the O(C(2m + 2d, d)) vertices and the faces through
-    each one.  That quadratic depends only on the face's flat (the planes
-    that hold it) and its band set (the samples with 0 < u < 1 on it), so
-    it is minimized in closed form once per distinct flat and band set, from
-    the first (vertex, face) pair that has them.  Ties go to the first best
-    candidate in a fixed order, so repeated calls agree bit for bit.
+    the oracle visits the O(C(2m + 2d, d)) vertices.  Every line through
+    a vertex has one up side, fixed by its direction alone, so each bounded
+    edge and 2-D face is generated once, at the vertex from which all of
+    it goes up: its lowest.  That quadratic depends only on the face's flat
+    (the planes that hold it) and its band set (the samples with 0 < u < 1
+    on it), so it is minimized in closed form once per distinct flat and
+    band set, from the first face in a fixed order that has them.  Ties
+    still go to the first best candidate in a fixed order, so repeated
+    calls agree bit for bit.
     bounds holds one (lo, hi) pair per coordinate of (w, b).  Returns
     (w, b, value) with value = objective(w, b).
     """

@@ -11,12 +11,16 @@ kkt_enumerate   exact global minimization of the ramp-SVM objective on tiny
                 each arrangement's stationarity system in closed form.
 local_min_probe randomized descent search in a ball around a candidate,
                 the direct reading of "local minimizer".
+arrangement_face_minimizers
+                the minimizer on its flat of every face of the global
+                oracle's arrangement in a box, listed from every vertex
+                through the face.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -179,3 +183,93 @@ def local_min_probe(
         f = objective(point.w + d[:-1], point.b + d[-1], dataset, C)
         worst = max(worst, f0 - f)
     return worst <= slack, worst
+
+
+def arrangement_face_minimizers(problem, C, bounds):
+    """The minimizer on its flat of every face of the global oracle's
+    arrangement that lies in the box, listed from every vertex through it.
+
+    In z = (w, b), d = n + 1, the planes are the kinks u_i = 0 and u_i = 1
+    and the 2d box facets.  At every vertex in the box, where d planes with
+    independent normals meet, every face through it is listed the long way,
+    as the enumeration that solved every face once per vertex did: each line
+    where d - 1 active planes meet gives its two edges, U = (+-t), and for
+    d = 3 each of the line's two planes gives the four faces in it next to
+    the line, U = (+-t, +-s).  A face is kept unless an active box facet has
+    it outside the box.  On the face's flat v + U^T alpha the objective is
+    1/2 |w|^2 + g^T z plus a constant, g = -C sum B_i over the samples
+    inside the band on the face; it is minimized in an orthonormal basis of
+    the flat and clipped into the box, once per distinct flat and band set.
+    Flats free along b have no minimizer and give no point.
+    """
+    B, m = problem.B, problem.m
+    d = B.shape[1]
+    box = np.array(bounds, dtype=float)
+    N = np.vstack((-B, B, np.eye(d), np.eye(d)))
+    r = np.concatenate((-np.ones(m), np.zeros(m), box[:, 0], box[:, 1]))
+    norms = np.linalg.norm(N, axis=1)
+    N, r = N / norms[:, None], r / norms
+    # The side of each plane that the box is on: + for a lower facet, - for
+    # an upper one, none for a kink.
+    box_side = np.concatenate((np.zeros(2 * m), np.ones(d), -np.ones(d)))
+    T = np.array(list(combinations(range(len(r)), d)))
+    T = T[np.abs(np.linalg.det(N[T])) > 1e-12]
+    V = np.linalg.solve(N[T], r[T][..., None])[..., 0]
+    slack = 1e-10 * (1.0 + np.abs(box).max())
+    V = V[np.all((V >= box[:, 0] - slack) & (V <= box[:, 1] + slack), axis=1)]
+    vertices, faces = set(), {}
+    for v in V:
+        act = np.flatnonzero(np.abs(N @ v - r) <= 1e-9 * (1.0 + np.abs(v).max()))
+        if tuple(act) in vertices:
+            continue
+        vertices.add(tuple(act))
+        u = 1.0 - B @ v
+        kink = act < 2 * m
+        band_at_v = (u > 0.0) & (u < 1.0)
+        band_at_v[act[kink] % m] = False
+        for U in _faces_through(N[act]):
+            proj = U @ N[act].T
+            proj[np.abs(proj) <= 1e-12 * np.linalg.norm(U, axis=2, keepdims=True)] = 0.0
+            side = np.where(proj[:, 0] != 0.0, proj[:, 0], proj[:, -1])
+            flat = np.zeros((len(U), len(r)), dtype=bool)
+            flat[:, act] = np.all(proj == 0.0, axis=1)
+            band = np.tile(band_at_v, (len(U), 1))
+            band[:, act[kink] % m] = side[:, kink] > 0.0
+            keep = np.flatnonzero(~np.any(side * box_side[act] < 0.0, axis=1))
+            for f, key in zip(keep, np.hstack((flat, band))[keep]):
+                faces.setdefault(key.tobytes(), (v, U[f], band[f]))
+    points = []
+    for rows in (1, 2):
+        found = [face for face in faces.values() if len(face[1]) == rows]
+        if not found:
+            continue
+        v, U, band = (np.array(x) for x in zip(*found))
+        R = np.linalg.qr(U.swapaxes(1, 2))[0].swapaxes(1, 2)
+        Rw = R[..., :-1]
+        G = Rw @ Rw.swapaxes(1, 2)
+        ok = np.linalg.det(G) > 1e-12
+        h = -(Rw @ v[:, :-1, None] + R @ (-C * band @ B)[..., None])
+        alpha = np.linalg.solve(G[ok], h[ok])
+        points.append(v[ok] + (alpha.swapaxes(1, 2) @ R[ok])[:, 0])
+    return np.clip(np.concatenate(points), box[:, 0], box[:, 1])
+
+
+def _faces_through(NP):
+    """Direction rows U, stacked, of every face through a vertex whose
+    active planes have the unit normals NP: (+-t) along each line where
+    d - 1 of them meet, and for d = 3 (+-t, +-s) in each of the line's two
+    planes, s = n x t for the plane's normal n."""
+    k, d = NP.shape
+    E = np.array(list(combinations(range(k), d - 1)), dtype=int).reshape(-1, d - 1)
+    rows = np.concatenate((NP[E], np.zeros((len(E), 1, d))), axis=1)
+    sv, vt = np.linalg.svd(rows)[1:]
+    if d > 1:  # dependent normals meet in no line
+        E, vt = E[sv[:, d - 2] > 1e-9], vt[sv[:, d - 2] > 1e-9]
+    t = vt[:, -1]
+    yield np.concatenate((t, -t))[:, None]
+    if d == 3:
+        t = np.repeat(t, 2, axis=0)
+        s = np.cross(NP[E].reshape(-1, d), t)
+        yield np.stack(
+            [np.stack((a * t, c * s), axis=1) for a, c in product((1.0, -1.0), repeat=2)]
+        ).reshape(-1, 2, d)

@@ -5,8 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
+from scipy.spatial import cKDTree
 
-from conftest import kkt_enumerate
+from conftest import arrangement_face_minimizers, kkt_enumerate
 from rampsvm import (
     COUNTEREXAMPLE_C,
     Dataset,
@@ -393,10 +395,8 @@ _GRID_INSTANCES = [
 ]
 
 
-def test_oracle_matches_enumeration():
-    # Independent check on five random tiny instances and the grid ones:
-    # the arrangement enumeration must land on the exact combinatorial
-    # minimum.
+def _enumeration_datasets():
+    """Five random tiny instances and the grid ones."""
     rng = np.random.default_rng(21)
     datasets = []
     while len(datasets) < 5:
@@ -406,23 +406,87 @@ def test_oracle_matches_enumeration():
         ds = Dataset(X=X, y=y)
         if build_problem(ds).full_column_rank:
             datasets.append(ds)
-    datasets += [
+    return datasets + [
         Dataset(X=np.array(X, float), y=np.array(y, float)) for X, y in _GRID_INSTANCES
     ]
+
+
+def _wide_box(prob, C):
+    """The box the enumeration tests solve in, from |w|^2 / 2 <= f(0, 0) <= C m."""
+    wb = math.sqrt(2.0 * C * prob.m) + 0.5
+    bb = 1.0 + float(np.linalg.norm(prob.A, axis=1).max()) * wb + 0.5
+    return [(-wb, wb)] * prob.n + [(-bb, bb)]
+
+
+def test_oracle_matches_enumeration():
+    # Independent check on five random tiny instances and the grid ones:
+    # the arrangement enumeration must land on the exact combinatorial
+    # minimum.
     C = 1.0
     found = []
-    for ds in datasets:
+    for ds in _enumeration_datasets():
         prob = build_problem(ds)
         f_star = kkt_enumerate(prob, ds, C)[0][0]
-        wb = math.sqrt(2.0 * C * prob.m) + 0.5
-        bb = 1.0 + float(np.linalg.norm(prob.A, axis=1).max()) * wb + 0.5
-        w, b, f_hat = global_oracle(prob, C, bounds=[(-wb, wb)] * prob.n + [(-bb, bb)])
+        w, b, f_hat = global_oracle(prob, C, bounds=_wide_box(prob, C))
         assert f_hat == pytest.approx(f_star, abs=1e-9), ds
         assert f_hat >= f_star - 1e-12
         found.append((*w, b, f_hat))
     # The first grid set, where two samples share x = -1: f = 1.5 at
     # (w, b) = (-1, 0).
     assert found[5] == pytest.approx((-1.0, 0.0, 1.5), abs=1e-9)
+
+
+@st.composite
+def _grid_cases(draw):
+    """An integer-grid set, X in {-2, ..., 2}^(m x n) with n <= 2 and
+    m <= 5, and C."""
+    n = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    X = draw(st.lists(row, min_size=m, max_size=m))
+    y = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m))
+    C = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    return Dataset(X=np.array(X, float), y=np.array(y)), C
+
+
+@given(_grid_cases())
+@settings(max_examples=60, database=None, deadline=None)
+@seed(19)
+def test_oracle_matches_enumeration_on_grids(case):
+    # Integer grids put more than d planes through a vertex and give line
+    # directions exact zero components, which decide their up side.
+    ds, C = case
+    prob = build_problem(ds)
+    w, b, f = global_oracle(prob, C, bounds=_wide_box(prob, C))
+    assert f == pytest.approx(kkt_enumerate(prob, ds, C)[0][0], abs=1e-9)
+
+
+def test_oracle_candidates_cover_every_face(monkeypatch):
+    # The oracle generates each edge and 2-D face from one vertex only.  The
+    # flat minimizer of every face in the box, listed from every vertex
+    # through it, must still be among its candidates, on the enumeration's
+    # instances and criterion 8's pairs of seeds 100-104.
+    candidates = []
+
+    def spy(*args):
+        candidates.append(real(*args))
+        return candidates[-1]
+
+    real = solver._candidates
+    monkeypatch.setattr(solver, "_candidates", spy)
+    problems = [build_problem(ds) for ds in _enumeration_datasets()]
+    instances = [(prob, _wide_box(prob, 1.0)) for prob in problems]
+    for data_seed in range(100, 105):
+        prob0, prob1, box = _criterion8_pair(data_seed)
+        instances += [(prob0, box), (prob1, box)]
+    for prob, box in instances:
+        global_oracle(prob, 1.0, bounds=box)
+        reference = arrangement_face_minimizers(prob, 1.0, box)
+        gap = cKDTree(candidates[-1]).query(reference, p=np.inf)[0]
+        scale = 1.0 + np.abs(np.array(box)).max()
+        assert gap.max() <= 1e-9 * scale, (
+            f"{np.sum(gap > 1e-9 * scale)} of {len(gap)} faces missed, m = {prob.m}"
+        )
 
 
 def test_oracle_counterexample_exact():
