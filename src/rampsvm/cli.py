@@ -24,6 +24,7 @@ import json
 import math
 import platform
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,6 @@ from . import __version__
 from .certify import (
     DEFAULT_TOL,
     Certificate,
-    KKTCheck,
     PrimalDualPoint,
     Verdict,
     check_pstationary,
@@ -97,28 +97,8 @@ def _dumps(obj, level: int = 0) -> str:
     return json.dumps(obj)
 
 
-def _residual_dict(cert: Certificate) -> dict:
-    return {
-        "r_grad": cert.r_grad,
-        "r_y": cert.r_y,
-        "r_feas": cert.r_feas,
-        "r_prox": cert.r_prox,
-        "gamma": cert.gamma,
-    }
-
-
 def _cert_dict(cert: Certificate) -> dict:
-    return {**_residual_dict(cert), "verdict": cert.verdict.value}
-
-
-def _kkt_dict(chk: KKTCheck) -> dict:
-    return {
-        "passed": chk.passed,
-        "r_grad": chk.r_grad,
-        "r_y": chk.r_y,
-        "r_feas": chk.r_feas,
-        "r_multiplier": chk.r_multiplier,
-    }
+    return {**asdict(cert), "verdict": cert.verdict.value}
 
 
 def _point_dict(point: PrimalDualPoint) -> dict:
@@ -234,7 +214,8 @@ def _grading_report(graded, problem, C, gammas) -> dict:
     gammas = gammas or [cert.gamma]
     rows = []
     for gamma in gammas:
-        row = _residual_dict(check_pstationary(point, problem, C, gamma))
+        row = asdict(check_pstationary(point, problem, C, gamma))
+        del row["verdict"]
         s = point.u - gamma * point.lam
         row["prox_distances"] = _floats(
             prox_distance(point.u, s, ProxParams(gamma, C))
@@ -246,7 +227,7 @@ def _grading_report(graded, problem, C, gammas) -> dict:
         "result": {
             "verdict": cert.verdict.value,
             "gamma_max": None if math.isinf(gamma_max) else gamma_max,
-            "kkt": _kkt_dict(kkt),
+            "kkt": asdict(kkt),
             "stationarity": rows,
             "point": _point_dict(point),
             "objective": objective(point.w, point.b, problem.dataset, C),

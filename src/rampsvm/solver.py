@@ -27,10 +27,14 @@ of all of them would.
 The global oracle is exact over a (w, b) box for n <= 2: it enumerates the
 O(C(2m + 2d, d)) vertices of the arrangement of kink planes and box facets,
 d = n + 1, and generates each edge and 2-D face once, at its lowest vertex
-(the lowest-vertex rule of reverse search, Avis and Fukuda 1996).  It
+(the lowest-vertex rule of reverse search, Avis and Fukuda 1996), by one
+rule at every vertex: each line through it gives its up edge, and each
+active plane the face between the up edges of every two of its lines.  It
 solves each distinct face (its flat and its band set) once, with
 closed-form solves: cross products for the vertices and line directions,
-Cramer's rule for the faces.  It exists as an independent reference for
+Cramer's rule for the faces.  Where planes coincide, a line is a zero or
+repeated row, and its face has the key of an edge at the same vertex,
+which comes first.  The oracle exists as an independent reference for
 testing stationarity claims at true minimizers, not as a practical trainer.
 """
 
@@ -354,14 +358,6 @@ def _bits(count):
     return bits
 
 
-def _project(D, NP):
-    """Products of the directions D[v, f] with the normals NP[v]; those
-    below _SINGULAR |D[v, f]| are taken to be 0."""
-    proj = D @ NP.swapaxes(1, 2)
-    proj[np.abs(proj) <= _SINGULAR * np.linalg.norm(D, axis=2, keepdims=True)] = 0.0
-    return proj
-
-
 def _up(t):
     """The rows of t turned up: each row's first component above
     _SINGULAR |row| made positive, a zero row left as it is.  Both ends of
@@ -376,35 +372,28 @@ def _faces(NP):
     """Faces through vertices v whose active planes have the unit normals NP.
 
     Yields direction rows U per vertex and face, and their products with
-    NP as _project gives them; the face's flat is v + U^T alpha, and an
-    active plane is crossed on the side of the first row not in it.  Only
-    faces that go up from v are yielded, so that each bounded edge and 2-D
-    face comes once, from its lowest vertex in the order that _up orients.
-    Each line where d - 1 active planes meet gives its up edge, U = (t).
-    For d = 3, at a simple vertex (k = 3 planes) each plane gives the face
-    between the up edges of its two lines, U = (t, t').  At a degenerate
-    vertex (k > 3) a plane may hold more than two lines, so each of a
-    line's two planes gives both faces in it next to its up edge,
-    U = (t, +-s), s normal to the line; every 2-D face with its lowest
-    vertex there has an up edge, so O(k^2) choices reach all.
+    NP, those below _SINGULAR |U row| taken to be 0; the face's flat is
+    v + U^T alpha, and an active plane is crossed on the side of the first
+    row not in it.  Only faces that go up from v are yielded, so that each
+    bounded edge and 2-D face comes once, from its lowest vertex in the
+    order that _up orients.  Each line where d - 1 active planes meet gives
+    its up edge, U = (t).  For d = 3, at every vertex, each active plane p
+    gives the face between the up edges of every two of its lines {p, q}
+    and {p, q'}, U = (t, t'): a 2-D face lies between two up edges in its
+    plane at its lowest vertex.  Where planes coincide, a line is a zero
+    row or repeats another; such a face's key is that of an edge at the
+    same vertex, which is yielded first.
     """
     k, d = NP.shape[1:]
     lines = np.array(list(combinations(range(k), d - 1)), dtype=int)
-    E = NP[:, lines]
-    t = _up(_cross(E))
-    pt = _project(t, NP)
-    yield t[:, :, None], pt[:, :, None]
-    if d == 3 and k == 3:
-        # Line i misses plane 2 - i, so plane j contains the lines lines[j].
-        yield t[:, lines], pt[:, lines]
-    elif d == 3:
-        o = E[:, :, ::-1]
-        s = (o - np.sum(o * E, axis=3, keepdims=True) * E).reshape(len(E), -1, d)
-        t, pt = np.repeat(t, 2, axis=1), np.repeat(pt, 2, axis=1)
-        U = np.stack((t, s), axis=2)
-        proj = np.stack((pt, _project(s, NP)), axis=2)
-        flip = np.array([[1.0], [-1.0]])  # negates the second row, s
-        yield np.hstack((U, U * flip)), np.hstack((proj, proj * flip))
+    t = _up(_cross(NP[:, lines]))
+    proj = t @ NP.swapaxes(1, 2)
+    proj[np.abs(proj) <= _SINGULAR * np.linalg.norm(t, axis=2, keepdims=True)] = 0.0
+    yield t[:, :, None], proj[:, :, None]
+    # Plane p holds the lines that name it, in order; each two bound a face.
+    faces = [f for p in range(k) for f in combinations(np.nonzero(lines == p)[0], 2)]
+    if faces:
+        yield t[:, faces], proj[:, faces]
 
 
 def _candidates(T, N, r, box, C, B) -> np.ndarray:
@@ -414,12 +403,14 @@ def _candidates(T, N, r, box, C, B) -> np.ndarray:
     on the flat of every face that _faces yields at it, with g = -C sum B_i
     over the samples inside the band on that face; these get clipped into
     the box.  So every edge and 2-D face in the box comes from its lowest
-    vertex; a degenerate vertex may yield one twice, and faces in one flat
-    may share a band set.  That minimizer depends only on the face's flat
-    (the planes that hold it) and its band set, so one (vertex, face) pair
-    per such key is solved: the first with it, taking vertices by their
-    number of active planes and then in order, edges before 2-D faces.
-    Flats free along b are skipped: their minimum is also on a lower face.
+    vertex; a vertex where more than d planes meet may yield one twice, and
+    faces in one flat may share a band set.  That minimizer depends only on
+    the face's flat (the planes that hold it) and its band set, so one
+    (vertex, face) pair per such key is solved: the first with it, taking
+    vertices by their number of active planes and then in order, edges
+    before 2-D faces.  So a face with a zero or repeated row, whose key is
+    an edge's at the same vertex, is never solved.  Flats free along b are
+    skipped: their minimum is also on a lower face.
     """
     m, d = B.shape
     det, x = _cramer(N[T], r[T])
@@ -467,7 +458,12 @@ def _candidates(T, N, r, box, C, B) -> np.ndarray:
         Uw = U[..., :-1]
         h = -(Uw @ v[:, :-1, None] + U @ g[..., None])[..., 0]
         det, x = _cramer(Uw @ Uw.swapaxes(1, 2), h)
-        ok = det > _SINGULAR * _cramer(U @ U.swapaxes(1, 2), h)[0]
+        # The flat is free along b where det(Uw Uw^T) is small beside det(U U^T).
+        G = U @ U.swapaxes(1, 2)
+        vol = G[:, 0, 0]
+        if U.shape[1] == 2:
+            vol = vol * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
+        ok = det > _SINGULAR * vol
         found.append(v[ok] + ((x[ok] / det[ok, None])[:, None] @ U[ok])[:, 0])
     return np.clip(np.concatenate(found), box[:, 0], box[:, 1])
 

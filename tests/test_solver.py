@@ -457,15 +457,14 @@ def test_oracle_matches_enumeration_on_grids(case):
     # directions exact zero components, which decide their up side.
     ds, C = case
     prob = build_problem(ds)
-    w, b, f = global_oracle(prob, C, bounds=_wide_box(prob, C))
+    w, b, f = _oracle_covering_every_face(prob, C, _wide_box(prob, C))
     assert f == pytest.approx(kkt_enumerate(prob, ds, C)[0][0], abs=1e-9)
 
 
-def test_oracle_candidates_cover_every_face(monkeypatch):
-    # The oracle generates each edge and 2-D face from one vertex only.  The
-    # flat minimizer of every face in the box, listed from every vertex
-    # through it, must still be among its candidates, on the enumeration's
-    # instances and criterion 8's pairs of seeds 100-104.
+def _oracle_covering_every_face(prob, C, box):
+    """global_oracle's (w, b, value), once its candidates are checked to
+    hold the flat minimizer of every face in the box, listed from every
+    vertex through it."""
     candidates = []
 
     def spy(*args):
@@ -473,20 +472,39 @@ def test_oracle_candidates_cover_every_face(monkeypatch):
         return candidates[-1]
 
     real = solver._candidates
-    monkeypatch.setattr(solver, "_candidates", spy)
-    problems = [build_problem(ds) for ds in _enumeration_datasets()]
-    instances = [(prob, _wide_box(prob, 1.0)) for prob in problems]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_candidates", spy)
+        result = global_oracle(prob, C, bounds=box)
+    reference = arrangement_face_minimizers(prob, C, box)
+    gap = cKDTree(candidates[0]).query(reference, p=np.inf)[0]
+    scale = 1.0 + np.abs(np.array(box)).max()
+    assert gap.max() <= 1e-9 * scale, (
+        f"{np.sum(gap > 1e-9 * scale)} of {len(gap)} faces missed, m = {prob.m}, C = {C}"
+    )
+    return result
+
+
+def test_oracle_candidates_cover_every_face():
+    # The oracle generates each edge and 2-D face from one vertex only, yet
+    # misses none, on the enumeration's instances, criterion 8's pairs of
+    # seeds 100-104, and a set with a repeated sample, where kink planes
+    # coincide and vertices hold more than d planes.
+    instances = [
+        (prob, 1.0, _wide_box(prob, 1.0))
+        for prob in map(build_problem, _enumeration_datasets())
+    ]
     for data_seed in range(100, 105):
         prob0, prob1, box = _criterion8_pair(data_seed)
-        instances += [(prob0, box), (prob1, box)]
-    for prob, box in instances:
-        global_oracle(prob, 1.0, bounds=box)
-        reference = arrangement_face_minimizers(prob, 1.0, box)
-        gap = cKDTree(candidates[-1]).query(reference, p=np.inf)[0]
-        scale = 1.0 + np.abs(np.array(box)).max()
-        assert gap.max() <= 1e-9 * scale, (
-            f"{np.sum(gap > 1e-9 * scale)} of {len(gap)} faces missed, m = {prob.m}"
+        instances += [(prob0, 1.0, box), (prob1, 1.0, box)]
+    repeated = build_problem(
+        Dataset(
+            X=np.array([[-1, 1], [1, -1], [-1, 0], [1, -1], [1, 1]], float),
+            y=np.array([-1, -1, 1, 1, 1], float),
         )
+    )
+    instances += [(repeated, C, _wide_box(repeated, C)) for C in (0.5, 2.0)]
+    for prob, C, box in instances:
+        _oracle_covering_every_face(prob, C, box)
 
 
 def test_oracle_counterexample_exact():
