@@ -23,13 +23,15 @@ the same closed form elementwise with the same floats, and prox_distance
 builds ProxSet.distance on it.  The trainer's screen and the certificate
 both take r_prox from prox_distance; the trainer's prox step calls
 _prox_primary, the primary branch on which prox_array is built, without
-prox_array's finiteness check.
+prox_array's finiteness check.  Both read gamma*C and the tie threshold
+that ProxParams works out once, when it is built, with the floats the
+scalar branches compute on every call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,19 +48,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProxParams:
-    """Prox step gamma and loss penalty C, both strictly positive."""
+    """Prox step gamma and loss penalty C, both strictly positive.
+
+    gammaC, the product gamma*C that selects the prox regime, and the tie
+    threshold, the input s at which the prox has two members, are worked
+    out once, here, for the trainer's per-iteration prox.  They follow from
+    (gamma, C), so equality, hashing and repr use those two alone.
+    """
 
     gamma: float
     C: float
+    gammaC: float = field(init=False, repr=False, compare=False)
+    _threshold: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_positive("gamma", self.gamma)
         check_positive("C", self.C)
-
-    @property
-    def gammaC(self) -> float:
-        """The product gamma*C that selects the prox regime."""
-        return self.gamma * self.C
+        gc = self.gamma * self.C
+        thr = 1.0 + gc / 2.0 if gc < 2.0 else math.sqrt(2.0 * gc)
+        object.__setattr__(self, "gammaC", gc)
+        object.__setattr__(self, "_threshold", thr)
 
 
 @dataclass(frozen=True)
@@ -116,11 +125,6 @@ def prox_scalar(s: float, params: ProxParams) -> ProxSet:
     return _prox_threshold_regime(s, params)
 
 
-def _tie_threshold(gc: float) -> float:
-    """The input s at which the prox has two members, for gamma*C = gc."""
-    return 1.0 + gc / 2.0 if gc < 2.0 else math.sqrt(2.0 * gc)
-
-
 def _prox_primary(s: np.ndarray, params: ProxParams, out=None) -> np.ndarray:
     """prox_array's primary value for a float array s already known to be
     finite; the trainer's hot path calls it without the input check, into
@@ -130,8 +134,7 @@ def _prox_primary(s: np.ndarray, params: ProxParams, out=None) -> np.ndarray:
     the shift regime then subtracts gamma*C on [gamma*C, threshold).  That
     gives prox_scalar's first value bit for bit, signed zeros and ties
     included, and a non-finite value for a non-finite s."""
-    gc = params.gammaC
-    thr = _tie_threshold(gc)
+    gc, thr = params.gammaC, params._threshold
     if gc >= 2.0:
         return np.multiply(s, (s <= 0.0) | (s >= thr), out=out)
     shift = gc * ((s >= gc) & (s < thr))
@@ -154,8 +157,7 @@ def prox_array(s, params: ProxParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     s = np.asarray(s, dtype=float)
     if not np.isfinite(s).all():
         raise ValueError("prox needs finite arguments")
-    gc = params.gammaC
-    thr = _tie_threshold(gc)
+    gc, thr = params.gammaC, params._threshold
     below_thr = thr - gc if gc < 2.0 else 0.0
     primary = _prox_primary(s, params)
     tie = s == thr

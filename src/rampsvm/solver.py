@@ -19,10 +19,12 @@ that hold one iterate per row; the result is bit for bit the one a screen
 after every iteration gives.  The state (B z, lambda) fixes every later
 iteration, so a run stops at the first bit-for-bit repeat of it that
 Brent's cycle detection sees, with the MAX_ITER result its full budget
-would give.  Each iteration writes its vectors in place and makes one
-finiteness test, on lambda: a non-finite s, u or z carries on into lambda
-in the same iteration, so that one test flags the iterations that tests
-of all of them would.
+would give.  Each iteration writes its vectors in place.  Only lambda is
+tested for finiteness, once per block, on all its rows: a non-finite s, u
+or z carries on into lambda in the same iteration, and a non-finite lambda
+stays non-finite, so the block's first non-finite row is the iteration that
+tests of all of them after every iteration would flag, and the run ends
+DIVERGED there.
 
 The global oracle is exact over a (w, b) box for n <= 2: it enumerates the
 O(C(2m + 2d, d)) vertices of the arrangement of kink planes and box facets,
@@ -91,6 +93,11 @@ class SolverConfig:
         if self.sigma is None:
             object.__setattr__(self, "sigma", self.C / 2.0)
         check_positive("sigma", self.sigma)
+        if not math.isfinite(1.0 / float(self.sigma)):
+            raise ValueError(
+                f"sigma must be large enough that gamma = 1/sigma is finite, "
+                f"got {self.sigma}"
+            )
         check_positive("tol", self.tol)
         if isinstance(self.max_iter, bool) or not isinstance(
             self.max_iter, numbers.Integral
@@ -155,11 +162,15 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
     diagnostics["cycle_period"].  A failed SPD factorization or a
     non-finite iterate yields DIVERGED with the trigger recorded in
     diagnostics, once the iterates before it have been screened.  Only
-    lambda is tested for finiteness, and that flags the same iteration as
-    testing s, z and lambda: a non-finite prox input s gives a non-finite
-    u in both prox regimes, a non-finite z makes every entry of B z
-    non-finite, as B's last column holds the labels, and either makes the
-    feasibility residual, and so lambda, non-finite.
+    lambda is tested for finiteness, once per block after its iterations,
+    and that flags the same iteration as testing s, z and lambda after
+    every iteration: a non-finite prox input s gives a non-finite u in both
+    prox regimes, a non-finite z makes every entry of B z non-finite, as
+    B's last column holds the labels, and either makes the feasibility
+    residual, and so lambda, non-finite.  Once non-finite, lambda stays
+    non-finite, so the block's first non-finite row is the run's first
+    non-finite iteration: the block is cut before it, and the run ends
+    DIVERGED at that iteration.
     """
     B = problem.B
     m, n = problem.m, problem.n
@@ -207,41 +218,38 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
     saved_it, saved_lam, saved_Bz = 0, None, None
     cycle = {}
     # Iteration i of a block writes u, the feasibility residual, lam and z
-    # into row i of U, F, L and Z, and its other vectors into lam_s (lam /
-    # sigma), s (the prox input), rhs (the (w,b) right-hand side) and step
-    # (the lam step).
+    # into row i of U, F, L and Z, through row views made once per run, and
+    # its other vectors into lam_s (lam / sigma), s (the prox input), rhs
+    # (the (w,b) right-hand side) and step (the lam step).
     rows = min(_BLOCK_ROWS, max(1, _BLOCK_SIZE // m), max_iter)
     U, F, L = np.empty((rows, m)), np.empty((rows, m)), np.empty((rows, m))
     Z = np.empty((rows, n + 1))
+    U_row, F_row, L_row, Z_row = list(U), list(F), list(L), list(Z)
     lam_s, s, rhs, step = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
     it, stop = 0, None
     while it < max_iter and not cycle:
-        # Core phase: the iterations themselves, one at a time.  A
-        # non-finite iterate runs on until its lam is tested, so the
-        # arithmetic on it overflows or meets inf - inf silently.
+        # Core phase: the iterations themselves, one at a time, with no
+        # finiteness test.  A non-finite iterate runs on to the block's end,
+        # so the arithmetic on it overflows or meets inf - inf silently.
+        # ndarray.dot calls the BLAS product that np.matmul calls, with
+        # less overhead per call.
         start, k = it, 0
         with np.errstate(over="ignore", invalid="ignore"):
             while k < rows and it < max_iter:
                 it += 1
-                np.divide(lam, sigma, out=lam_s)
-                np.subtract(1.0, Bz, out=s)
+                np.divide(lam, sigma, lam_s)
+                np.subtract(1.0, Bz, s)
                 s -= lam_s
-                u = _prox_primary(s, params, out=U[k])
-                np.subtract(u, 1.0, out=rhs)
+                u = _prox_primary(s, params, U_row[k])
+                np.subtract(u, 1.0, rhs)
                 rhs += lam_s
-                z = np.matmul(K, rhs, out=Z[k])
-                np.matmul(B, z, out=Bz)
-                feas = np.add(u, Bz, out=F[k])
+                z = K.dot(rhs, Z_row[k])
+                B.dot(z, Bz)
+                feas = np.add(u, Bz, F_row[k])
                 feas -= 1.0
-                np.multiply(feas, sigma, out=step)
+                np.multiply(feas, sigma, step)
                 # From m = 4097 up L[k] is also the old lam, read in place.
-                lam = np.add(lam, step, out=L[k])
-                # The one finiteness test (the docstring says why it is
-                # enough).  lam @ lam is finite only if lam is, but a large
-                # finite lam can overflow it; then the entries decide.
-                if not math.isfinite(lam @ lam) and not np.isfinite(lam).all():
-                    stop = f"non-finite iterate at iteration {it}"
-                    break
+                lam = np.add(lam, step, L_row[k])
                 k += 1
                 # A repeated state replays iterations already screened:
                 # none of them can converge, and under the strict < none
@@ -253,6 +261,16 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
                     break
                 if it & (it - 1) == 0:
                     saved_it, saved_lam, saved_Bz = it, lam_bytes, Bz.tobytes()
+        # The one finiteness test, once per block, on lam (the docstring
+        # says why that is enough).  A non-finite lam stays non-finite, so
+        # the first such row is the run's first non-finite iterate: the
+        # block ends before it, and the DIVERGED return below drops any
+        # cycle seen after it.
+        bad = np.flatnonzero(~np.isfinite(L[:k]).all(axis=1))
+        if bad.size:
+            k = int(bad[0])
+            it = start + k + 1
+            stop = f"non-finite iterate at iteration {it}"
         # Screen phase: the residuals of check_pstationary for the block's
         # k rows, each computed only for the rows that can still pass tol
         # or beat the best iterate as it stood at the block's start.  The
@@ -267,7 +285,7 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
         rows_g = np.flatnonzero((r_feas <= tol) | (r_feas < best_worst))
         G = np.empty((rows_g.size, n + 1))
         for i, j in enumerate(rows_g):
-            np.matmul(B.T, L[j], out=G[i])
+            B.T.dot(L_row[j], G[i])
         G[:, :n] += Z[rows_g, :n]
         worst_g = np.maximum(np.abs(G).max(axis=1), r_feas[rows_g])
         near = (worst_g <= tol) | (worst_g < best_worst)

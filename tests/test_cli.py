@@ -162,6 +162,17 @@ def test_train_rejects_non_finite_tol(capsys, easy_csv, tol):
     assert "tol must be finite and positive" in captured.err
 
 
+def test_train_rejects_sigma_with_infinite_gamma(capsys, easy_csv):
+    # gamma = 1/sigma overflows for a subnormal sigma; the error names the
+    # option the user gave.
+    capsys.readouterr()
+    code = main(["train", "--data", str(easy_csv), "--C", "1", "--sigma", "1e-309"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: sigma must be large enough")
+
+
 def test_certify_fixture_point(capsys, counterexample_csv):
     point = counterexample_point()
     w_arg = ",".join(repr(float(v)) for v in point.w)

@@ -1,5 +1,6 @@
 """Set-valued ramp prox: closed forms, ties, regimes, and the oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -288,6 +289,32 @@ def test_prox_set_distance():
     assert out.distance(0.5) == 0.0
     assert out.distance(1.0) == 0.5
     assert out.distance(-1.0) == 1.5
+
+
+def test_prox_params_cached_values():
+    # gammaC and the tie threshold are worked out once, from (gamma, C)
+    # alone: equality, hashing and repr see only those two, and
+    # dataclasses.replace works the cached values out again.
+    a = ProxParams(1.5, 0.5)
+    assert a == ProxParams(1.5, 0.5) and hash(a) == hash(ProxParams(1.5, 0.5))
+    assert a != ProxParams(0.5, 1.5) and a.gammaC == ProxParams(0.5, 1.5).gammaC
+    assert repr(a) == "ProxParams(gamma=1.5, C=0.5)"
+    assert (a.gammaC, a._threshold) == (0.75, 1.375)
+    b = dataclasses.replace(a, C=4.0)
+    assert b == ProxParams(1.5, 4.0)
+    assert (b.gammaC, b._threshold) == (6.0, math.sqrt(12.0))
+    # At gamma*C = 2 the threshold regime applies, and just below it the
+    # shift regime; the trainer's prox gives the scalar reference's first
+    # value bit for bit in both, at and next to every anchor.
+    for gc in (2.0, float(np.nextafter(2.0, 0.0))):
+        params = dataclasses.replace(a, gamma=gc, C=1.0)
+        assert params.gammaC == gc
+        s = SPECIAL_S + [
+            _step_ulps(x, k) for x in _anchors(params) for k in range(-3, 4)
+        ]
+        got = _prox_primary(np.array(s), params)
+        for g_i, s_i in zip(got, s):
+            assert _bits(g_i) == _bits(prox_scalar(s_i, params).values[0]), (gc, s_i)
 
 
 def test_prox_params_validation():

@@ -53,6 +53,11 @@ def test_config_defaults_and_validation():
         with pytest.raises(ValueError, match="max_iter must be an integer"):
             SolverConfig(C=1.0, max_iter=max_iter)
     assert SolverConfig(C=1.0, max_iter=np.int64(5)).max_iter == 5
+    # A subnormal sigma, given or implied by C, would make gamma = 1/sigma
+    # infinite; the error names sigma, not gamma.
+    for kwargs in ({"C": 1.0, "sigma": 1e-309}, {"C": 1e-309}):
+        with pytest.raises(ValueError, match="^sigma must be large enough"):
+            SolverConfig(**kwargs)
 
 
 def test_train_single_point():
@@ -294,6 +299,40 @@ def test_parity_in_both_prox_regimes():
         for sigma in (0.1, 4.0):
             cfg = SolverConfig(C=1.0, sigma=sigma, tol=1e-8, max_iter=2000)
             _assert_matches_full_budget(prob, cfg, (seed, sigma))
+
+
+def test_parity_with_one_iteration_blocks():
+    # From m = 4097 up each block is one iteration, so the finiteness test
+    # and the screen run after every iteration; m = 4200 here, in both
+    # prox regimes.
+    prob = build_problem(gen_synthetic(2100, 4.0, 0.1, 0))
+    assert prob.m > solver._BLOCK_SIZE
+    for sigma in (0.5, 4.0):
+        cfg = SolverConfig(C=1.0, sigma=sigma, tol=1e-8, max_iter=120)
+        _assert_matches_full_budget(prob, cfg, sigma)
+
+
+def test_prox_hook_called_once_per_iteration(monkeypatch):
+    # Each executed iteration calls solver._prox_primary once, through the
+    # module attribute, so wrapping it counts iterations.  A full budget
+    # runs every iteration; a converging run runs on at most to the end of
+    # the block that holds its converging iteration.
+    prox_primary = solver._prox_primary
+    calls = []
+
+    def counted(s, params, out=None):
+        calls.append(None)
+        return prox_primary(s, params, out)
+
+    monkeypatch.setattr(solver, "_prox_primary", counted)
+    res = train_admm(_batch_problem(5), SolverConfig(C=1.0, tol=1e-8, max_iter=500))
+    assert res.status is SolveStatus.MAX_ITER and res.iterations == 500
+    assert "cycle_period" not in res.diagnostics
+    assert len(calls) == 500
+    calls.clear()
+    res = train_admm(_batch_problem(10), SolverConfig(C=1.0, tol=1e-8))
+    assert res.status is SolveStatus.CONVERGED
+    assert res.iterations <= len(calls) <= res.iterations + solver._BLOCK_ROWS - 1
 
 
 def test_finite_multipliers_beyond_the_dot_range():
