@@ -1,12 +1,18 @@
 """Certification of candidate solutions.
 
 A candidate (w, b, u, lambda) is proximal-stationary (P-stationary) at step
-gamma when four residuals vanish:
+gamma when four residuals vanish.  With z = (w; b), B = [A y] and
+g = B^T lambda + (w; 0):
 
-    r_grad = ||w + A^T lambda||_inf          gradient condition
-    r_y    = |<y, lambda>|                   multiplier/label orthogonality
-    r_feas = ||u + A w + b y - 1||_inf       primal feasibility
+    r_grad = max_{j<n} |g_j|                 gradient condition
+    r_y    = |g_n| = |<y, lambda>|           multiplier/label orthogonality
+    r_feas = ||u + B z - 1||_inf             primal feasibility
     r_prox = max_i dist(u_i, prox(u_i - gamma*lambda_i))   fixed-point inclusion
+
+One routine computes them (residual_rows), for candidates stacked one per
+row: the trainer's screen calls it on its block of iterates, and
+check_pstationary, check_kkt and recover_multiplier on one row, so a
+residual is the same float on every path.
 
 The weaker KKT condition replaces the prox inclusion with a subdifferential
 inclusion: -lambda_i/C must lie in the ramp subdifferential at u_i.  Every
@@ -47,6 +53,7 @@ __all__ = [
     "PrimalDualPoint",
     "Certificate",
     "KKTCheck",
+    "residual_rows",
     "check_pstationary",
     "check_kkt",
     "certify_point",
@@ -140,14 +147,39 @@ def _check_dims(point: PrimalDualPoint, problem: ProblemData) -> None:
         )
 
 
-def _shared_residuals(
-    point: PrimalDualPoint, problem: ProblemData
-) -> tuple[float, float, float]:
-    A, y = problem.A, problem.y
-    r_grad = float(np.max(np.abs(point.w + A.T @ point.lam)))
-    r_y = abs(float(y @ point.lam))
-    r_feas = float(np.max(np.abs(point.u + A @ point.w + point.b * y - 1.0)))
-    return r_grad, r_y, r_feas
+def residual_rows(problem: ProblemData, Z, U, L, F, params=None) -> np.ndarray:
+    """The P-stationarity residuals of candidates stacked one per row.
+
+    Row i of Z, U, L and F holds z = (w; b), u, lambda and the feasibility
+    residual u + B z - 1 of candidate i.  Row i of the result holds its
+    r_grad, r_y and r_feas, and with params, the prox step's ProxParams,
+    its r_prox as well.  g = B^T lambda takes one matrix-vector product per
+    row, as the trainer's iteration does, because a matrix-matrix product
+    may sum in another order; so a row's residuals are the same floats
+    whether it comes alone or in a block.  r_grad is 0 when w is empty.
+    """
+    n = problem.n
+    R = np.empty((len(L), 3 if params is None else 4))
+    G = np.empty((len(L), n + 1))
+    for g, lam in zip(G, L):
+        problem.B.T.dot(lam, g)
+    G[:, :n] += Z[:, :n]
+    np.abs(G, G)
+    G[:, :n].max(axis=1, initial=0.0, out=R[:, 0])
+    R[:, 1] = G[:, n]
+    np.abs(F).max(axis=1, out=R[:, 2])
+    if params is not None:
+        dist = prox_distance(U, U - params.gamma * L, params)
+        dist.max(axis=1, out=R[:, 3])
+    return R
+
+
+def _point_residuals(problem: ProblemData, w, b, u, lam, params=None) -> list:
+    """residual_rows for the one candidate (w, b, u, lam), as floats."""
+    z = np.append(w, b)
+    feas = u + problem.B.dot(z) - 1.0
+    rows = (z[None], u[None], lam[None], feas[None])
+    return residual_rows(problem, *rows, params)[0].tolist()
 
 
 # Margin classes of a sample, by u = 1 - <a_i, w> - b y_i.
@@ -181,16 +213,11 @@ def check_pstationary(
     """
     check_positive("tol", tol)
     _check_dims(point, problem)
-    params = ProxParams(gamma, C)
-    r_grad, r_y, r_feas = _shared_residuals(point, problem)
-    s = point.u - gamma * point.lam
-    r_prox = float(np.max(prox_distance(point.u, s, params)))
-    verdict = (
-        Verdict.P_STATIONARY
-        if max(r_grad, r_y, r_feas, r_prox) <= tol
-        else Verdict.NEITHER
+    r = _point_residuals(
+        problem, point.w, point.b, point.u, point.lam, ProxParams(gamma, C)
     )
-    return Certificate(r_grad, r_y, r_feas, r_prox, gamma, verdict)
+    verdict = Verdict.P_STATIONARY if max(r) <= tol else Verdict.NEITHER
+    return Certificate(*r, gamma, verdict)
 
 
 def check_kkt(
@@ -204,7 +231,9 @@ def check_kkt(
     check_positive("tol", tol)
     check_positive("C", C)
     _check_dims(point, problem)
-    r_grad, r_y, r_feas = _shared_residuals(point, problem)
+    r_grad, r_y, r_feas = _point_residuals(
+        problem, point.w, point.b, point.u, point.lam
+    )
     # Admissible [lo, hi] for lambda_i: on either kink all of [-C, 0];
     # inside the band exactly -C; below or beyond it exactly 0.
     lam = point.lam
@@ -250,9 +279,10 @@ def recover_multiplier(
     on the remaining system, which is generically square or overdetermined.
 
     Returns (lambda, residual) with the infinity-norm residual of
-    B^T lambda - (-w; 0); a large residual means no multiplier with this
-    structure makes w stationary.  A non-finite w or b is rejected, as no
-    residual of it would mean anything.
+    B^T lambda + (w; 0), max(r_grad, r_y) of residual_rows; a large
+    residual means no multiplier with this structure makes w stationary.
+    A non-finite w or b is rejected, as no residual of it would mean
+    anything.
     """
     check_positive("C", C)
     w, b, u = _margins(w, b, problem)
@@ -263,10 +293,8 @@ def recover_multiplier(
     if active.size:
         sol, *_ = np.linalg.lstsq(problem.B.T[:, active], rhs, rcond=None)
         lam[active] = sol
-    resid = float(
-        np.max(np.abs(problem.B.T @ lam - np.concatenate((-w, [0.0]))))
-    )
-    return lam, resid
+    r_grad, r_y, _ = _point_residuals(problem, w, b, u, lam)
+    return lam, max(r_grad, r_y)
 
 
 def admissible_steps(

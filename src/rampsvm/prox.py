@@ -20,12 +20,12 @@ s themselves before calling.
 
 prox_scalar and ProxSet are the set-valued reference.  prox_array evaluates
 the same closed form elementwise with the same floats, and prox_distance
-builds ProxSet.distance on it.  The trainer's screen and the certificate
-both take r_prox from prox_distance; the trainer's prox step calls
-_prox_primary, the primary branch on which prox_array is built, without
-prox_array's finiteness check.  Both read gamma*C and the tie threshold
-that ProxParams works out once, when it is built, with the floats the
-scalar branches compute on every call.
+builds ProxSet.distance on it.  certify.residual_rows, which serves the
+trainer's screen and the certificate, takes r_prox from prox_distance; the
+trainer's prox step calls _prox_primary, the primary branch on which
+prox_array is built, without prox_array's finiteness check.  Both read
+gamma*C and the tie threshold that ProxParams works out once, when it is
+built, with the floats the scalar branches compute on every call.
 """
 
 from __future__ import annotations

@@ -10,21 +10,21 @@ cycles three exact updates with a constant penalty sigma:
     lambda gradient ascent on the constraint residual
 
 The problem is nonconvex, so no convergence guarantee is claimed.  Instead
-every iterate is screened with the P-stationarity residuals, computed from
-the arrays the iteration already holds, and the solver only reports
-CONVERGED when check_pstationary confirms that they drop below tol;
-MAX_ITER / DIVERGED are first-class outcomes.  The iterations run one at a
-time, while the screen runs once per block of up to 64 of them, on arrays
-that hold one iterate per row; the result is bit for bit the one a screen
-after every iteration gives.  The state (B z, lambda) fixes every later
-iteration, so a run stops at the first bit-for-bit repeat of it that
-Brent's cycle detection sees, with the MAX_ITER result its full budget
-would give.  Each iteration writes its vectors in place.  Only lambda is
-tested for finiteness, once per block, on all its rows: a non-finite s, u
-or z carries on into lambda in the same iteration, and a non-finite lambda
-stays non-finite, so the block's first non-finite row is the iteration that
-tests of all of them after every iteration would flag, and the run ends
-DIVERGED there.
+every iterate is screened with the P-stationarity residuals, which
+certify.residual_rows computes from the arrays the iteration already holds,
+the same floats check_pstationary reports; the solver reports CONVERGED at
+the first iterate whose residuals all pass tol, and MAX_ITER / DIVERGED are
+first-class outcomes.  The iterations run one at a time, while the screen
+runs once per block of up to 64 of them, on arrays that hold one iterate
+per row; the result is bit for bit the one a screen after every iteration
+gives.  The state (B z, lambda) fixes every later iteration, so a run stops
+at the first bit-for-bit repeat of it that Brent's cycle detection sees,
+with the MAX_ITER result its full budget would give.  Each iteration writes
+its vectors in place.  Only lambda is tested for finiteness, once per
+block, on all its rows: a non-finite s, u or z carries on into lambda in
+the same iteration, and a non-finite lambda stays non-finite, so the
+block's first non-finite row is the iteration that tests of all of them
+after every iteration would flag, and the run ends DIVERGED there.
 
 The global oracle is exact over a (w, b) box for n <= 2: it enumerates the
 O(C(2m + 2d, d)) vertices of the arrangement of kink planes and box facets,
@@ -55,14 +55,14 @@ from .certify import (
     DEFAULT_TOL,
     Certificate,
     PrimalDualPoint,
-    Verdict,
     check_pstationary,
+    residual_rows,
 )
 from .losses import objective
 from .problem import ProblemData, spd_solver
 # prox_scalar is not called here; it stays a module attribute because
 # bench/tracing.py counts prox_scalar calls by wrapping it in this module.
-from .prox import ProxParams, _prox_primary, prox_distance, prox_scalar  # noqa: F401
+from .prox import ProxParams, _prox_primary, prox_scalar  # noqa: F401
 
 __all__ = [
     "SolverConfig",
@@ -143,22 +143,21 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
     The (w, b) system is factored once, before the loop, into the gain
     matrix K = -sigma M^{-1} B^T.  The iterations run one at a time in
     blocks of up to 64, each keeping its iterate in a row of the block's
-    arrays.  The screen then takes the residuals of check_pstationary for
-    the whole block, computed from those rows, and applies the rules below
-    to the rows in iteration order, so the result is bit for bit that of a
-    screen after every iteration.  Only an iterate that passes the screen
-    goes to check_pstationary.  CONVERGED is returned only when that call
-    agrees, so CONVERGED results always carry a P_STATIONARY certificate at
-    the configured tolerance and prox step 1/sigma.  MAX_ITER results carry
-    the iterate with the smallest screened max residual (the earliest on
-    ties), certified once by check_pstationary, with its iteration in
-    diagnostics["best_iteration"].  The screen stops at the first residual
-    that already rules an iterate out, r_feas first, judged against the
-    best iterate at the block's start.  A run whose state (B z, lambda)
-    repeats byte for byte only replays iterates it has screened, so it
-    stops at the first repeat that Brent's cycle detection sees and returns
-    what the full budget would: the same MAX_ITER result, iterations =
-    max_iter, plus the minimal period of the cycle in
+    arrays.  The screen then rules out the rows whose r_feas already fails
+    tol and the best iterate as it stood at the block's start, takes the
+    residuals of the rest from residual_rows, the floats check_pstationary
+    gives for them, and applies the rules below to the rows in iteration
+    order, so the result is bit for bit that of a screen after every
+    iteration.  CONVERGED is returned at the first iterate whose largest
+    residual is at most tol.  MAX_ITER results carry the iterate with the
+    smallest largest residual (the earliest on ties), with its iteration in
+    diagnostics["best_iteration"].  Every result carries the certificate of
+    its point from one check_pstationary call, at the configured tolerance
+    and prox step 1/sigma, so a CONVERGED one is P_STATIONARY.  A run whose
+    state (B z, lambda) repeats byte for byte only replays iterates it has
+    screened, so it stops at the first repeat that Brent's cycle detection
+    sees and returns what the full budget would: the same MAX_ITER result,
+    iterations = max_iter, plus the minimal period of the cycle in
     diagnostics["cycle_period"].  A failed SPD factorization or a
     non-finite iterate yields DIVERGED with the trigger recorded in
     diagnostics, once the iterates before it have been screened.  Only
@@ -183,10 +182,10 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
         M = sigma * (B.T @ B)
     M[np.arange(n), np.arange(n)] += 1.0
 
-    def result(status, point, cert, iters, diag):
+    def result(status, point, iters, diag):
         return SolveResult(
             point=point,
-            certificate=cert,
+            certificate=check_pstationary(point, problem, C, gamma, tol),
             iterations=iters,
             objective=objective(point.w, point.b, problem.dataset, C),
             status=status,
@@ -197,10 +196,7 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
         point = PrimalDualPoint(
             w=np.zeros(n), b=0.0, u=np.ones(m), lam=np.zeros(m)
         )
-        cert = check_pstationary(point, problem, C, gamma, tol)
-        return result(
-            SolveStatus.DIVERGED, point, cert, iters, {"reason": reason}
-        )
+        return result(SolveStatus.DIVERGED, point, iters, {"reason": reason})
 
     # Gain matrix: the (w,b) minimizer for the shifted residual r is K @ r.
     try:
@@ -211,7 +207,7 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
     max_iter = config.max_iter
     Bz = np.zeros(m)  # B @ (w; b) of the current iterate
     lam = np.zeros(m)
-    best_worst, best = math.inf, None  # best iterate: (iteration, z, u, lam)
+    best_worst, best = math.inf, None  # best iterate: (iteration, point)
     # The state (B z, lam) fixes every later iteration.  Brent's cycle
     # detection keeps the bytes of one earlier state, saved at iterations
     # 1, 2, 4, 8, ..., and stops at the first state equal to it.
@@ -225,6 +221,10 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
     U, F, L = np.empty((rows, m)), np.empty((rows, m)), np.empty((rows, m))
     Z = np.empty((rows, n + 1))
     U_row, F_row, L_row, Z_row = list(U), list(F), list(L), list(Z)
+
+    def row(j):  # a copy of the iterate in row j
+        return PrimalDualPoint(w=Z[j, :n], b=Z[j, n], u=U[j], lam=L[j])
+
     lam_s, s, rhs, step = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
     it, stop = 0, None
     while it < max_iter and not cycle:
@@ -271,58 +271,29 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
             k = int(bad[0])
             it = start + k + 1
             stop = f"non-finite iterate at iteration {it}"
-        # Screen phase: the residuals of check_pstationary for the block's
-        # k rows, each computed only for the rows that can still pass tol
-        # or beat the best iterate as it stood at the block's start.  The
-        # best only improves during the block, so these rows include every
-        # row the per-iteration rules below look at.  r_feas comes from the
-        # feasibility residual, r_grad and r_y from g = B^T lam + (w; 0),
-        # whose first n entries and last entry hold them, then r_prox from
-        # prox_distance on the rows left, as check_pstationary takes it.  g
-        # takes one matrix-vector product per row, as a single iteration
-        # does, because a matrix-matrix product may sum in another order.
+        # Screen phase: the residuals of the block's k rows, only for the
+        # rows whose r_feas can still pass tol or beat the best iterate as
+        # it stood at the block's start.  The best only improves during the
+        # block, so these rows include every row the per-iteration rules
+        # below look at.
         r_feas = np.abs(F[:k]).max(axis=1)
-        rows_g = np.flatnonzero((r_feas <= tol) | (r_feas < best_worst))
-        G = np.empty((rows_g.size, n + 1))
-        for i, j in enumerate(rows_g):
-            B.T.dot(L_row[j], G[i])
-        G[:, :n] += Z[rows_g, :n]
-        worst_g = np.maximum(np.abs(G).max(axis=1), r_feas[rows_g])
-        near = (worst_g <= tol) | (worst_g < best_worst)
-        rows_p = rows_g[near]
-        u_p = U[rows_p]
-        r_prox = prox_distance(u_p, u_p - gamma * L[rows_p], params).max(axis=1)
-        # The per-iteration rules, in iteration order.
-        best_row = None
-        for j, worst, r in zip(
-            rows_p.tolist(), worst_g[near].tolist(), r_prox.tolist()
-        ):
-            if not (worst <= tol or worst < best_worst):
-                continue
-            worst = max(worst, r)
-            if worst <= tol:
-                point = PrimalDualPoint(w=Z[j, :n], b=Z[j, n], u=U[j], lam=L[j])
-                cert = check_pstationary(point, problem, C, gamma, tol)
-                if cert.verdict is Verdict.P_STATIONARY:
-                    return result(
-                        SolveStatus.CONVERGED, point, cert, start + j + 1, {}
-                    )
-            if worst < best_worst:
-                best_worst, best_row = worst, j
-        if best_row is not None:
-            best = (
-                start + best_row + 1,
-                Z[best_row].copy(),
-                U[best_row].copy(),
-                L[best_row].copy(),
-            )
+        keep = np.flatnonzero((r_feas <= tol) | (r_feas < best_worst))
+        if keep.size:
+            R = residual_rows(problem, Z[keep], U[keep], L[keep], F[keep], params)
+            # The per-iteration rules, in iteration order.
+            best_row = None
+            for j, worst in zip(keep.tolist(), R.max(axis=1).tolist()):
+                if worst <= tol:
+                    return result(SolveStatus.CONVERGED, row(j), start + j + 1, {})
+                if worst < best_worst:
+                    best_worst, best_row = worst, j
+            if best_row is not None:
+                best = (start + best_row + 1, row(best_row))
         if stop is not None:
             return diverged(stop, it)
-    best_it, z, u, lam = best
-    point = PrimalDualPoint(w=z[:n], b=z[n], u=u, lam=lam)
-    cert = check_pstationary(point, problem, C, gamma, tol)
+    best_it, point = best
     diag = {"best_iteration": best_it, **cycle}
-    return result(SolveStatus.MAX_ITER, point, cert, max_iter, diag)
+    return result(SolveStatus.MAX_ITER, point, max_iter, diag)
 
 
 # Relative size below which a determinant or projection counts as zero:

@@ -320,6 +320,8 @@ def test_default_tol_verdicts_pinned(capsys, tmp_path):
     # converged or not.  grade_point and `rampsvm certify` are one route
     # and give the same verdict; `certify --lambda` grades the trainer's
     # lambda as it stands.  Where they differ from the trainer is pinned.
+    # Every returned certificate is check_pstationary's for the returned
+    # point.
     C = 1.0
     agreed = 0
     for sigma, (from_wb, with_lam) in _DEFAULT_TOL_MISSES.items():
@@ -329,7 +331,10 @@ def test_default_tol_verdicts_pinned(capsys, tmp_path):
             prob = build_problem(ds)
             path = tmp_path / f"batch-{seed}.csv"
             write_csv(ds, path)
-            res = train_admm(prob, SolverConfig(C=C, sigma=sigma))
+            config = SolverConfig(C=C, sigma=sigma)
+            res = train_admm(prob, config)
+            again = check_pstationary(res.point, prob, C, config.gamma)
+            assert again == res.certificate, (sigma, seed)
             w, b = res.point.w, res.point.b
             certify = [
                 "certify",

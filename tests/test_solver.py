@@ -24,9 +24,10 @@ from rampsvm import (
     global_oracle,
     objective,
     predict,
+    grade_point,
     prox_array,
-    prox_distance,
     recover_multiplier,
+    residual_rows,
     single_point_dataset,
     spd_solver,
     symmetric_pair_dataset,
@@ -121,9 +122,11 @@ def test_train_max_iter_returns_best_iterate():
 def _full_budget_admm(prob, cfg, states=None):
     """train_admm without the cycle stop: every iteration of the budget runs.
 
-    Returns (status, iterations, point, certificate, best_iteration), the
-    best iteration being None on convergence.  A states list gets the bytes
-    of (B z, lambda) after each iteration."""
+    An iterate whose r_feas can still pass tol or beat the best iterate
+    takes its residuals and verdict from check_pstationary.  Returns
+    (status, iterations, point, certificate, best_iteration), the best
+    iteration being None on convergence.  A states list gets the bytes of
+    (B z, lambda) after each iteration."""
     B, m, n = prob.B, prob.m, prob.n
     sigma, C, gamma, tol = cfg.sigma, cfg.C, cfg.gamma, cfg.tol
     params = ProxParams(gamma, C)
@@ -144,22 +147,16 @@ def _full_budget_admm(prob, cfg, states=None):
         assert np.isfinite(z).all() and np.isfinite(lam).all()
         if states is not None:
             states.append(Bz.tobytes() + lam.tobytes())
-        g = B.T @ lam
-        g[:n] += z[:n]
-        worst = max(float(np.abs(g).max()), float(np.abs(feas).max()))
-        if worst <= tol or worst < best_worst:
-            r_prox = prox_distance(u, u - gamma * lam, params).max()
-            worst = max(worst, float(r_prox))
-        if worst <= tol:
-            point = PrimalDualPoint(w=z[:n], b=z[n], u=u, lam=lam)
-            cert = check_pstationary(point, prob, C, gamma, tol)
-            if cert.verdict is Verdict.P_STATIONARY:
-                return SolveStatus.CONVERGED, it, point, cert, None
-        if worst < best_worst:
-            best_worst, best = worst, (it, z, u, lam)
-    best_it, z, u, lam = best
-    point = PrimalDualPoint(w=z[:n], b=z[n], u=u, lam=lam)
-    cert = check_pstationary(point, prob, C, gamma, tol)
+        r_feas = float(np.abs(feas).max())
+        if not (r_feas <= tol or r_feas < best_worst):
+            continue
+        point = PrimalDualPoint(w=z[:n], b=z[n], u=u, lam=lam)
+        cert = check_pstationary(point, prob, C, gamma, tol)
+        if cert.verdict is Verdict.P_STATIONARY:
+            return SolveStatus.CONVERGED, it, point, cert, None
+        if cert.max_residual < best_worst:
+            best_worst, best = cert.max_residual, (it, point, cert)
+    best_it, point, cert = best
     return SolveStatus.MAX_ITER, cfg.max_iter, point, cert, best_it
 
 
@@ -310,6 +307,47 @@ def test_parity_with_one_iteration_blocks():
     for sigma in (0.5, 4.0):
         cfg = SolverConfig(C=1.0, sigma=sigma, tol=1e-8, max_iter=120)
         _assert_matches_full_budget(prob, cfg, sigma)
+
+
+def test_screen_residuals_match_check_pstationary(monkeypatch):
+    # The screen's residuals for a block of iterates are, row for row and
+    # bit for bit, the ones check_pstationary gives each iterate alone: in
+    # blocks of up to 64 rows at m = 16 and of one row at m = 4200.
+    blocks = []
+
+    def recorded(problem, *rows):
+        R = residual_rows(problem, *rows)
+        blocks.append((rows, R))
+        return R
+
+    monkeypatch.setattr(solver, "residual_rows", recorded)
+    big = build_problem(gen_synthetic(2100, 4.0, 0.1, 0))
+    for prob, max_iter in ((_batch_problem(15), 200), (big, 5)):
+        cfg = SolverConfig(C=1.0, tol=1e-8, max_iter=max_iter)
+        blocks.clear()
+        train_admm(prob, cfg)
+        sizes = {len(R) for _, R in blocks}
+        assert sizes and (sizes == {1}) == (prob.m > solver._BLOCK_SIZE)
+        for (Z, U, L, F, params), R in blocks:
+            assert params == ProxParams(cfg.gamma, cfg.C) and R.shape[1] == 4
+            for z, u, lam, r in zip(Z, U, L, R):
+                point = PrimalDualPoint(w=z[: prob.n], b=z[prob.n], u=u, lam=lam)
+                cert = check_pstationary(point, prob, cfg.C, cfg.gamma, cfg.tol)
+                want = (cert.r_grad, cert.r_y, cert.r_feas, cert.r_prox)
+                assert _bits(r) == _bits(want)
+
+
+def test_problem_without_features():
+    # n = 0 leaves only b free, and w is empty, so r_grad is 0.  The
+    # oracle's minimizer grades p-stationary, and training converges.
+    prob = build_problem(Dataset(X=np.zeros((3, 0)), y=[1.0, -1.0, 1.0]))
+    w, b, value = global_oracle(prob, 1.0, bounds=[(-5.0, 5.0)])
+    assert w.shape == (0,) and value == 1.0
+    assert grade_point(w, b, prob, 1.0).verdict is Verdict.P_STATIONARY
+    res = train_admm(prob, SolverConfig(C=1.0))
+    assert res.status is SolveStatus.CONVERGED and res.iterations == 5
+    assert res.certificate.r_grad == 0.0
+    assert res.certificate.verdict is Verdict.P_STATIONARY
 
 
 def test_prox_hook_called_once_per_iteration(monkeypatch):
