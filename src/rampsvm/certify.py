@@ -11,8 +11,8 @@ g = B^T lambda + (w; 0):
 
 One routine computes them (residual_rows), for candidates stacked one per
 row: the trainer's screen calls it on its block of iterates, and
-check_pstationary, check_kkt and recover_multiplier on one row, so a
-residual is the same float on every path.
+check_pstationary, check_kkt, certify_point and recover_multiplier on one
+row, so a residual is the same float on every path.
 
 The weaker KKT condition replaces the prox inclusion with a subdifferential
 inclusion: -lambda_i/C must lie in the ramp subdifferential at u_i.  Every
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -231,9 +231,12 @@ def check_kkt(
     check_positive("tol", tol)
     check_positive("C", C)
     _check_dims(point, problem)
-    r_grad, r_y, r_feas = _point_residuals(
-        problem, point.w, point.b, point.u, point.lam
-    )
+    shared = _point_residuals(problem, point.w, point.b, point.u, point.lam)
+    return _kkt_check(point, C, tol, *shared)
+
+
+def _kkt_check(point: PrimalDualPoint, C, tol, r_grad, r_y, r_feas) -> KKTCheck:
+    """check_kkt on the point's shared residuals r_grad, r_y and r_feas."""
     # Admissible [lo, hi] for lambda_i: on either kink all of [-C, 0];
     # inside the band exactly -C; below or beyond it exactly 0.
     lam = point.lam
@@ -344,19 +347,25 @@ def certify_point(
     the KKT system holds, else NEITHER.
 
     Returns the certificate at gamma* (at 2/C when Gamma is empty) carrying
-    that verdict, the KKT check, and gamma_max.
+    that verdict, the KKT check, and gamma_max.  The point's residuals are
+    computed once: the certificate and the KKT check share r_grad, r_y and
+    r_feas.
     """
-    kkt = check_kkt(point, problem, C)
+    check_positive("C", C)
+    _check_dims(point, problem)
     gamma_max = admissible_steps(point, C)
     gamma = gamma_max / 2.0 if 0.0 < gamma_max < 2.0 / C else 2.0 / C
-    cert = check_pstationary(point, problem, C, gamma)
-    if kkt.passed and gamma_max > 0.0 and cert.verdict is Verdict.P_STATIONARY:
+    r = _point_residuals(
+        problem, point.w, point.b, point.u, point.lam, ProxParams(gamma, C)
+    )
+    kkt = _kkt_check(point, C, DEFAULT_TOL, *r[:3])
+    if kkt.passed and gamma_max > 0.0 and max(r) <= DEFAULT_TOL:
         verdict = Verdict.P_STATIONARY
     elif kkt.passed:
         verdict = Verdict.KKT_ONLY
     else:
         verdict = Verdict.NEITHER
-    return replace(cert, verdict=verdict), kkt, gamma_max
+    return Certificate(*r, gamma, verdict), kkt, gamma_max
 
 
 def grade(

@@ -28,7 +28,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .certify import (
@@ -148,7 +147,6 @@ def _emit(args, digest: str, report: dict, seed=None, out=None) -> None:
         versions={
             "rampsvm": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
     )

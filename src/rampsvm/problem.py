@@ -13,6 +13,10 @@ Bdag nor H is kept.
 Rank-deficient B gets a None lambda_h instead of an SVD pseudo-inverse:
 the certification theory assumes full column rank, and silently working
 outside that hypothesis would be misleading.
+
+Both lambda_h and the trainer's (w, b) gain matrix come from one kernel: a
+Cholesky factor (numpy's LAPACK potrf) and a solve by forward and back
+substitution over the n+1 rows, so numpy is the only runtime dependency.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "Dataset",
@@ -113,37 +116,65 @@ def build_problem(dataset: Dataset) -> ProblemData:
 
     lam = None
     if m >= n + 1:
-        G = B.T @ B
         try:
-            cf = scipy.linalg.cho_factor(G, lower=True)
-        except (scipy.linalg.LinAlgError, ValueError):
-            cf = None
-        if cf is not None:
-            d = np.abs(np.diag(cf[0]))
+            L = _cholesky(B.T @ B)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            d = np.abs(np.diag(L))
             if d.min() >= _RANK_RTOL * d.max():
-                H = scipy.linalg.cho_solve(cf, B.T)
+                H = _cho_solve(L, B.T)
                 H[-1, :] = 0.0
                 lam = float(np.linalg.eigvalsh(H @ H.T)[-1])
     return ProblemData(dataset=dataset, A=A, y=y, B=B, lambda_h=lam)
 
 
+def _cholesky(M: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric positive-definite M.
+
+    numpy's factorization does not reject infs or NaNs (it returns NaN
+    rows), so a non-finite M is refused here; that and a non-SPD M raise
+    LinAlgError.
+    """
+    if not np.isfinite(M).all():
+        raise np.linalg.LinAlgError(
+            "SPD factorization failed: array must not contain infs or NaNs"
+        )
+    return np.linalg.cholesky(M)
+
+
+def _cho_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L L^T x = rhs for a lower Cholesky factor L.
+
+    Forward substitution, then back substitution, one row of L at a time;
+    rhs is a vector or a matrix of right-hand sides, and a new array of its
+    shape is returned.
+    """
+    x = np.array(rhs, dtype=float)
+    X = x.reshape(len(L), -1)
+    for k in range(len(L)):
+        X[k] /= L[k, k]
+        X[k + 1 :] -= L[k + 1 :, k, None] * X[k]
+    for k in reversed(range(len(L))):
+        X[k] /= L[k, k]
+        X[:k] -= L[k, :k, None] * X[k]
+    return x
+
+
 def spd_solver(M):
     """Factor a symmetric positive-definite M once; return a solve closure.
 
-    The closure applies one step of iterative refinement, which keeps the
+    The closure solves by forward and back substitution with the Cholesky
+    factor and applies one step of iterative refinement, which keeps the
     residual near machine precision for the mildly conditioned systems we
-    build.  Factorization failure (non-SPD input) propagates as LinAlgError.
+    build.  A non-SPD or non-finite M raises LinAlgError.
     """
     M = np.asarray(M, dtype=float)
-    try:
-        cf = scipy.linalg.cho_factor(M, lower=True)
-    except ValueError as exc:
-        raise np.linalg.LinAlgError(f"SPD factorization failed: {exc}") from exc
+    L = _cholesky(M)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        x = scipy.linalg.cho_solve(cf, rhs)
-        x += scipy.linalg.cho_solve(cf, rhs - M @ x)
+        x = _cho_solve(L, rhs)
+        x += _cho_solve(L, rhs - M @ x)
         return x
 
     return solve
-

@@ -34,6 +34,7 @@ from rampsvm import (
     symmetric_pair_point,
     train_admm,
 )
+from rampsvm import certify
 from rampsvm.certify import DEFAULT_TOL
 
 
@@ -152,6 +153,42 @@ def test_grade_uses_the_given_multiplier():
         cert, kkt, gamma_max, graded = grade(point.w, point.b, prob, 1.0, lam)
         assert cert.verdict is verdict
         assert np.array_equal(graded.lam, lam)
+
+
+def test_grade_computes_each_residual_row_once(monkeypatch):
+    # A recovered grade evaluates one residual row in recovery and one in
+    # certify_point, whose certificate and KKT check share r_grad, r_y and
+    # r_feas; they equal check_pstationary's at gamma* and check_kkt's, bit
+    # for bit.
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return residual_rows(*args)
+
+    residual_rows = certify.residual_rows
+    monkeypatch.setattr(certify, "residual_rows", counted)
+    prob = build_problem(gen_synthetic(8, 4.0, 0.1, 15))
+    res = train_admm(prob, SolverConfig(C=1.0, tol=1e-8))
+    cases = [
+        (prob, res.point.w, res.point.b, 1.0),
+        (prob, np.array([0.3, -0.2]), 0.1, 1.0),
+        (build_problem(counterexample_dataset()), [0.5, 0.5], -2.0, COUNTEREXAMPLE_C),
+    ]
+    verdicts = set()
+    for prob, w, b, C in cases:
+        calls.clear()
+        cert, kkt, gamma_max, point = grade(w, b, prob, C)
+        assert len(calls) == 2
+        calls.clear()
+        assert certify_point(point, prob, C) == (cert, kkt, gamma_max)
+        assert len(calls) == 1
+        alone = check_pstationary(point, prob, C, cert.gamma)
+        fields = ("r_grad", "r_y", "r_feas", "r_prox")
+        assert [getattr(cert, f) for f in fields] == [getattr(alone, f) for f in fields]
+        assert kkt == check_kkt(point, prob, C)
+        verdicts.add(cert.verdict)
+    assert verdicts == set(Verdict)
 
 
 def test_recover_multiplier_exact_when_square():

@@ -42,8 +42,8 @@ def run_cli(capsys, *argv):
     return code, out
 
 
-def run_module(*argv):
-    """Run ``python -m rampsvm *argv`` as a child process.
+def run_python(*args):
+    """Run ``python *args`` as a child process.
 
     The child's PYTHONPATH starts with the absolute directory holding the
     ``rampsvm`` package this process imported, so the child loads the same
@@ -56,11 +56,13 @@ def run_module(*argv):
         package_root + os.pathsep + inherited if inherited else package_root
     )
     return subprocess.run(
-        [sys.executable, "-m", "rampsvm", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
+        [sys.executable, *args], capture_output=True, text=True, env=env
     )
+
+
+def run_module(*argv):
+    """Run ``python -m rampsvm *argv`` as a child process (run_python)."""
+    return run_python("-m", "rampsvm", *argv)
 
 
 @pytest.fixture
@@ -602,6 +604,29 @@ def test_console_entry_point(tmp_path):
     run = run_module("train", "--data", str(data), "--C", "1.0")
     assert run.returncode == 0
     assert json.loads(run.stdout)["command"] == "train"
+
+
+_SCIPY_FREE_CHILD = """
+import contextlib, io, json, sys
+import rampsvm, rampsvm.cli, rampsvm.solver, rampsvm.support, rampsvm.certify
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = rampsvm.cli.main(
+        ["prox-eval", "--s", "1.5,0.5,-2", "--gamma", "1.0", "--C", "1.0"]
+    )
+scipy = sorted(name for name in sys.modules if name.startswith("scipy"))
+print(json.dumps([code, json.loads(out.getvalue())["versions"], scipy]))
+"""
+
+
+def test_runtime_imports_no_scipy():
+    # numpy is the only runtime dependency: importing every module and
+    # running a command loads no scipy module, and reports name no scipy.
+    child = run_python("-c", _SCIPY_FREE_CHILD)
+    assert child.returncode == 0, child.stderr
+    code, versions, scipy = json.loads(child.stdout)
+    assert code == 0 and scipy == []
+    assert set(versions) == {"rampsvm", "numpy", "python"}
 
 
 def test_unknown_arguments_exit_two():

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError
+from numpy.linalg import LinAlgError
 
 from rampsvm import (
     Dataset,
@@ -13,6 +13,9 @@ from rampsvm import (
     gen_synthetic,
     spd_solver,
 )
+from rampsvm.problem import _cho_solve
+
+EPS = np.finfo(float).eps
 
 
 def _random_full_rank(rng, m, n):
@@ -45,9 +48,58 @@ def _dense_lambda_h(prob):
 
 def test_lambda_h_against_dense_eigensolver():
     rng = np.random.default_rng(2)
-    for m in (3, 4, 6, 9, 2000):
-        prob = _random_full_rank(rng, m, 2)
+    probs = [_random_full_rank(rng, m, 2) for m in (3, 4, 6, 9, 2000)]
+    probs += [_batch_problem(seed) for seed in range(20)]
+    for prob in probs:
         assert prob.lambda_h == pytest.approx(_dense_lambda_h(prob), rel=1e-12)
+
+
+def _batch_problem(seed):
+    return build_problem(gen_synthetic(8, 4.0, 0.1 if seed % 2 else 0.0, seed))
+
+
+def _solve_systems():
+    """(M, rhs): the trainer's M = sigma B^T B + blockdiag(I_n, 0) with
+    rhs = B^T on the 20 batch datasets at four sigmas, then random SPD
+    matrices of several orders with random right-hand sides."""
+    for seed in range(20):
+        prob = _batch_problem(seed)
+        for sigma in (0.1, 0.5, 1.0, 5.0):
+            M = sigma * (prob.B.T @ prob.B)
+            M[np.arange(prob.n), np.arange(prob.n)] += 1.0
+            yield M, prob.B.T
+    rng = np.random.default_rng(5)
+    for k in (1, 2, 3, 5, 8, 13):
+        G = rng.standard_normal((k, k))
+        yield G @ G.T + k * np.eye(k), rng.standard_normal((k, 6))
+
+
+def _relative_residual(M, x, rhs):
+    """Largest |M x - rhs| over ||M||_inf ||x||_inf, column by column."""
+    scale = np.abs(M).sum(axis=1).max() * np.abs(x).max(axis=0)
+    return float((np.abs(M @ x - rhs).max(axis=0) / scale).max())
+
+
+def test_cho_solve_residual_at_machine_precision():
+    # The substitution alone and spd_solver with its refinement step both
+    # solve to a relative residual of a few units of roundoff, and a column
+    # solved alone gives the bits it gets inside a matrix right-hand side.
+    for M, rhs in _solve_systems():
+        L = np.linalg.cholesky(M)
+        x = _cho_solve(L, rhs)
+        assert x.shape == rhs.shape
+        assert _relative_residual(M, x, rhs) <= 4 * EPS
+        assert _relative_residual(M, spd_solver(M)(rhs), rhs) <= 4 * EPS
+        assert x[:, 0].tobytes() == _cho_solve(L, rhs[:, 0]).tobytes()
+
+
+def test_cholesky_factor_matches_lapack_lower_factor():
+    # numpy's factor is the lower factor scipy's cho_factor leaves in its
+    # lower triangle, bit for bit, on every system above.
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    for M, _ in _solve_systems():
+        lower = np.tril(scipy_linalg.cho_factor(M, lower=True)[0])
+        assert np.linalg.cholesky(M).tobytes() == lower.tobytes()
 
 
 def test_build_problem_memory_scales_with_m_n():
@@ -82,6 +134,11 @@ def test_rank_deficient_paths():
     y = np.array([1.0, 1.0, 1.0])
     dup = build_problem(Dataset(X=X, y=y))
     assert not dup.full_column_rank
+    # B^T B overflows: the factorization refuses it.
+    X = np.array([[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    with np.errstate(over="ignore"):
+        big = build_problem(Dataset(X=X, y=np.array([1.0, -1.0, 1.0])))
+    assert big.lambda_h is None
 
 
 def test_spd_solver_accuracy():
@@ -105,6 +162,12 @@ def test_spd_solver_rejects_indefinite():
     M = np.array([[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(LinAlgError):
         spd_solver(M)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(
+            LinAlgError,
+            match="SPD factorization failed: array must not contain infs or NaNs",
+        ):
+            spd_solver(np.array([[1.0, 0.0], [0.0, bad]]))
 
 
 def test_dataset_validation():

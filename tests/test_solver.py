@@ -202,19 +202,19 @@ def test_cycle_stop_matches_full_budget():
 
 
 def test_cycle_period_recorded():
-    # This run first returns to its iteration-512 state at iteration 920;
+    # This run first returns to its iteration-512 state at iteration 1016;
     # a budget that ends earlier records no period.
     prob = build_problem(gen_synthetic(8, 4.0, 0.0, 0))
-    for max_iter, period in ((600, None), (919, None), (920, 408), (10000, 408)):
+    for max_iter, period in ((600, None), (1015, None), (1016, 504), (10000, 504)):
         res = train_admm(prob, SolverConfig(C=1.0, tol=1e-8, max_iter=max_iter))
         assert res.status is SolveStatus.MAX_ITER and res.iterations == max_iter
         assert res.diagnostics.get("cycle_period") == period, max_iter
-    # The full-budget states agree: 408 is the least period, and no state
+    # The full-budget states agree: 504 is the least period, and no state
     # saved at an earlier power of two comes back within its window.
     states = []
-    _full_budget_admm(prob, SolverConfig(C=1.0, tol=1e-8, max_iter=920), states)
+    _full_budget_admm(prob, SolverConfig(C=1.0, tol=1e-8, max_iter=1016), states)
     state = states[511]
-    assert states[919] == state and state not in states[512:919]
+    assert states[1015] == state and state not in states[512:1015]
     for saved in (1, 2, 4, 8, 16, 32, 64, 128, 256):
         assert states[saved - 1] not in states[saved : 2 * saved]
 
@@ -276,15 +276,15 @@ def test_budget_ending_on_convergence():
 
 
 def test_best_iterate_earliest_on_ties():
-    # Iterations 419 and 483 screen the same max residual, bit for bit, and
-    # no iteration beats it, so the best iterate is the earlier one; a
-    # non-strict update would return 483.  The run cycles with period 64
-    # from iteration 494.
+    # Iterations 355 and 419 screen the same max residual, bit for bit, from
+    # distinct states, and no iteration beats it, so the best iterate is the
+    # earlier one; a non-strict update would return a later tie.  The
+    # run cycles with period 64 from iteration 475.
     prob = build_problem(gen_synthetic(2, 4.0, 0.1, 35))
     cfg = SolverConfig(C=1.0, sigma=0.25, tol=1e-8, max_iter=2000)
     res = _assert_matches_full_budget(prob, cfg, "ties")
     assert res.status is SolveStatus.MAX_ITER
-    assert res.diagnostics["best_iteration"] == 419
+    assert res.diagnostics["best_iteration"] == 355
     assert res.diagnostics["cycle_period"] == 64
 
 
@@ -394,12 +394,13 @@ def test_divergence_inside_a_block(monkeypatch):
     cfg = SolverConfig(C=1.0, tol=1e-8)
     clean = train_admm(prob, cfg)
     prox_primary = solver._prox_primary
-    # A finite u along the labels drives b, and so every entry of B z,
-    # beyond the float range; checked here at iteration 1 (lam = 0).
-    big_u = np.finfo(float).max * prob.dataset.y
+    # A finite u signed as the b row of the gain matrix K drives b, and so
+    # every entry of B z, beyond the float range, as that row's absolute
+    # values add up to about 1.02; checked here at iteration 1 (lam = 0).
     M = cfg.sigma * (prob.B.T @ prob.B)
     M[np.arange(prob.n), np.arange(prob.n)] += 1.0
     K = -cfg.sigma * spd_solver(M)(prob.B.T)
+    big_u = np.finfo(float).max * np.sign(K[-1])
     with np.errstate(over="ignore"):
         assert not np.isfinite(K @ (big_u - 1.0)).all()
     poisons = (
