@@ -154,9 +154,9 @@ def residual_rows(problem: ProblemData, Z, U, L, F, params=None) -> np.ndarray:
     residual u + B z - 1 of candidate i.  Row i of the result holds its
     r_grad, r_y and r_feas, and with params, the prox step's ProxParams,
     its r_prox as well.  g = B^T lambda takes one matrix-vector product per
-    row, as the trainer's iteration does, because a matrix-matrix product
-    may sum in another order; so a row's residuals are the same floats
-    whether it comes alone or in a block.  r_grad is 0 when w is empty.
+    row, not one matrix-matrix product, which may sum in another order: so
+    a row's residuals are the same floats whether it comes alone or in a
+    block.  r_grad is 0 when w is empty.
     """
     n = problem.n
     R = np.empty((len(L), 3 if params is None else 4))
@@ -300,9 +300,7 @@ def recover_multiplier(
     return lam, max(r_grad, r_y)
 
 
-def admissible_steps(
-    point: PrimalDualPoint, C: float, tol: float = DEFAULT_TOL
-) -> float:
+def admissible_steps(point: PrimalDualPoint, C: float) -> float:
     """The admissible prox steps: every gamma > 0 with
     u_i in prox_gamma(u_i - gamma*lambda_i) for all i.
 
@@ -310,7 +308,7 @@ def admissible_steps(
     Gamma is empty and inf when every step works.  lambda is taken to have
     the KKT structure (check_kkt); for any other lambda no step works, as
     every P-stationary point is a KKT point.  Per margin class, at
-    tolerance tol, the prox closed form admits, ties included:
+    tolerance DEFAULT_TOL, the prox closed form admits, ties included:
 
     * below 0 (lambda_i = 0): every step;
     * lower kink, lambda_i in [-C, 0]: gamma <= 2C/lambda_i^2, which is
@@ -325,9 +323,8 @@ def admissible_steps(
     the union is one interval.
     """
     check_positive("C", C)
-    check_positive("tol", tol)
     u, lam = point.u, point.lam
-    cls = _classify(u, tol)
+    cls = _classify(u, DEFAULT_TOL)
     with np.errstate(divide="ignore", over="ignore"):
         kink = 2.0 * C / (lam * lam)
         beyond = np.where(u < 2.0, 2.0 * (u - 1.0) / C, u * u / (2.0 * C))

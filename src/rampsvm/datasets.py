@@ -220,9 +220,8 @@ def gen_synthetic(
     k = math.ceil(outlier_fraction * m)
     if k:
         chosen = rng.choice(m, size=k, replace=False)
-        for i in chosen:
-            X[i] = rng.standard_normal(2)
-            X[i, 0] -= y[i] * 10.0 * separation
+        X[chosen] = rng.standard_normal((k, 2))
+        X[chosen, 0] -= y[chosen] * 10.0 * separation
     return Dataset(X=X, y=y)
 
 

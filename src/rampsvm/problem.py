@@ -5,18 +5,19 @@ y, and B = [A y].  When B has full column rank we also carry lambda_h, the
 largest eigenvalue of the m x m matrix H^T H, where H is the generalized
 inverse Bdag = (B^T B)^{-1} B^T of B with its last row zeroed.  lambda_h
 bounds the prox steps for which the stationarity certificate is a necessary
-condition at global minimizers, so it is surfaced in reports.  It is
-computed as the largest eigenvalue of the (n+1) x (n+1) matrix H H^T, which
-has the same nonzero spectrum, so the build takes O(m n) memory; neither
-Bdag nor H is kept.
+condition at global minimizers, so it is surfaced in reports.  H^T H has
+the nonzero spectrum of H H^T, the leading n x n block of (B^T B)^{-1}, so
+the build takes O(m n) memory and forms neither B^T B, Bdag nor H.
 
 Rank-deficient B gets a None lambda_h instead of an SVD pseudo-inverse:
 the certification theory assumes full column rank, and silently working
 outside that hypothesis would be misleading.
 
-Both lambda_h and the trainer's (w, b) gain matrix come from one kernel: a
-Cholesky factor (numpy's LAPACK potrf) and a solve by forward and back
-substitution over the n+1 rows, so numpy is the only runtime dependency.
+The rank test and lambda_h take B's triangular QR factor, L = R^T with
+L L^T = B^T B, so B's condition number is not squared; the trainer's (w, b)
+gain matrix takes the Cholesky factor (numpy's LAPACK potrf) of its SPD
+matrix M.  One forward and back substitution over the n+1 rows
+(_cho_solve) solves with either, so numpy is the only runtime dependency.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ __all__ = [
     "spd_solver",
 ]
 
-# Relative threshold on Cholesky diagonals below which B counts as
-# rank-deficient.
+# Relative threshold on the |diagonal| of B's triangular QR factor below
+# which B counts as rank-deficient.
 _RANK_RTOL = 1e-10
 
 
@@ -116,16 +117,11 @@ def build_problem(dataset: Dataset) -> ProblemData:
 
     lam = None
     if m >= n + 1:
-        try:
-            L = _cholesky(B.T @ B)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            d = np.abs(np.diag(L))
-            if d.min() >= _RANK_RTOL * d.max():
-                H = _cho_solve(L, B.T)
-                H[-1, :] = 0.0
-                lam = float(np.linalg.eigvalsh(H @ H.T)[-1])
+        L = np.linalg.qr(B, mode="r").T
+        d = np.abs(np.diag(L))
+        if d.min() >= _RANK_RTOL * d.max():
+            inv = _cho_solve(L, np.eye(n + 1))[:n, :n]
+            lam = float(np.linalg.eigvalsh(inv).max(initial=0.0))
     return ProblemData(dataset=dataset, A=A, y=y, B=B, lambda_h=lam)
 
 
@@ -144,7 +140,7 @@ def _cholesky(M: np.ndarray) -> np.ndarray:
 
 
 def _cho_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L L^T x = rhs for a lower Cholesky factor L.
+    """Solve L L^T x = rhs for a lower triangular factor L.
 
     Forward substitution, then back substitution, one row of L at a time;
     rhs is a vector or a matrix of right-hand sides, and a new array of its

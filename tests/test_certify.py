@@ -511,12 +511,12 @@ def test_admissible_steps_match_set_valued_prox():
 
 
 def test_upper_kink_admits_no_step():
-    tol = 1e-6
+    tol = DEFAULT_TOL
     for C in (0.25, 1.0, 4.0):
         for u_i in (1.0 - tol / 2, 1.0, 1.0 + tol / 2):
             for lam_i in (-C, -C / 2, 0.0):
                 point = _point([-1.0, u_i, 0.5], [0.0, lam_i, -C])
-                assert admissible_steps(point, C, tol) == 0.0
+                assert admissible_steps(point, C) == 0.0
     # Nothing binds: every step works.
     assert admissible_steps(_point([-2.0, 0.0], [0.0, 0.0]), 1.0) == math.inf
 

@@ -677,7 +677,7 @@ COUNTEREXAMPLE_REPORT = {
     "params": {"C": 0.25, "gammas": [0.4, 4.0, 8.0, 16.0], "tol": 1e-06},
     "problem": {
         "full_column_rank": True,
-        "lambda_h": 0.2500000000000006,
+        "lambda_h": 0.25000000000000033,
         "m": 3,
         "n": 2,
     },

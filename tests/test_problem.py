@@ -134,11 +134,27 @@ def test_rank_deficient_paths():
     y = np.array([1.0, 1.0, 1.0])
     dup = build_problem(Dataset(X=X, y=y))
     assert not dup.full_column_rank
-    # B^T B overflows: the factorization refuses it.
+    # One feature a multiple of another: B has rank n.
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        m = int(rng.integers(3, 10))
+        x = rng.standard_normal(m)
+        X = np.column_stack((x, rng.uniform(-3.0, 3.0) * x))
+        y = rng.choice([-1.0, 1.0], size=m)
+        dep = build_problem(Dataset(X=X, y=y))
+        assert dep.lambda_h is None and not dep.full_column_rank
+    # Features near 1e200 build without overflow; sigma_min/sigma_max of
+    # this B is about 1e-217, so it counts as rank-deficient.
     X = np.array([[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    with np.errstate(over="ignore"):
-        big = build_problem(Dataset(X=X, y=np.array([1.0, -1.0, 1.0])))
+    big = build_problem(Dataset(X=X, y=np.array([1.0, -1.0, 1.0])))
     assert big.lambda_h is None
+
+
+def test_lambda_h_without_features():
+    # n = 0: B is the label column, and H is its zeroed bias row.
+    ds = Dataset(X=np.zeros((3, 0)), y=np.array([1.0, -1.0, 1.0]))
+    prob = build_problem(ds)
+    assert prob.full_column_rank and prob.lambda_h == 0.0
 
 
 def test_spd_solver_accuracy():
