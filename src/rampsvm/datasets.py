@@ -8,18 +8,20 @@ Two text formats are supported:
   zero.  The feature dimension is the largest index seen in the file.
 
 Labels must parse to exactly +1 or -1; anything else (including 0) is
-rejected with the offending line number.  Features are written with 17
-significant digits so a write/parse round trip is exact.
+rejected with the offending line number.  ``write_csv`` is one
+``np.savetxt`` through an open handle, labels as ``%+d`` and features as
+``%.17g``: 17 significant digits make a write/parse round trip exact.
 
-A CSV file is read in one ``np.loadtxt`` pass over its non-blank lines,
-and the block it returns is checked whole: at least two columns, labels
-exactly +-1, finite features.  loadtxt parses a number with the same
-correctly rounded conversion as Python's ``float`` and accepts no string
-that ``float`` rejects, so a block that passes is the dataset the per-line
-loop would build.  When loadtxt raises or a check fails, the per-line loop
-runs instead, as the error locator: it raises the first error with its
-line number, or it returns the dataset for syntax that only ``float``
-accepts (digit underscores such as ``1_0``, non-ASCII digits).
+A CSV file is read in one ``np.loadtxt`` pass over its non-blank lines.
+When the block has a row per line and at least two columns, ``Dataset``
+validates it (labels exactly +-1, finite features).  loadtxt parses a
+number with the same correctly rounded conversion as Python's ``float``
+and accepts no string that ``float`` rejects, so a block that ``Dataset``
+accepts is the dataset the per-line loop would build.  When loadtxt
+raises, a guard fails or ``Dataset`` raises its ``ValueError``, the
+per-line loop runs instead, as the error locator: it raises the first
+error with its line number, or it returns the dataset for syntax that only
+``float`` accepts (digit underscores such as ``1_0``, non-ASCII digits).
 
 The fixtures at the bottom are tiny hand-checkable instances used by the
 test suite and the ``counterexample`` CLI command.
@@ -95,16 +97,11 @@ def _numbered(text: str) -> list[tuple[int, str]]:
 def _parse_csv(lines: list[str], text: str) -> Dataset:
     try:
         block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        # A file of labels alone would otherwise build an n = 0 dataset.
+        if block.shape[0] == len(lines) and block.shape[1] >= 2:
+            return Dataset(X=block[:, 1:], y=block[:, 0])
     except ValueError:
-        block = None
-    if (
-        block is not None
-        and block.shape[0] == len(lines)
-        and block.shape[1] >= 2
-        and np.all(np.abs(block[:, 0]) == 1.0)
-        and np.isfinite(block[:, 1:]).all()
-    ):
-        return Dataset(X=block[:, 1:], y=block[:, 0])
+        pass
     return _parse_csv_lines(_numbered(text))
 
 
@@ -130,12 +127,11 @@ def _parse_csv_lines(lines) -> Dataset:
 
 
 def _parse_libsvm(lines) -> Dataset:
-    rows, ys = [], []
-    n = 0
-    for lineno, line in lines:
+    ys, rows, cols, vals = [], [], [], []
+    for r, (lineno, line) in enumerate(lines):
         toks = line.split()
         ys.append(_parse_label(toks[0], lineno))
-        entries = {}
+        seen = set()
         for tok in toks[1:]:
             idx, sep, val = tok.partition(":")
             if not sep:
@@ -152,19 +148,18 @@ def _parse_libsvm(lines) -> Dataset:
                 raise DataFormatError(
                     f"line {lineno}: feature indices are 1-based, got {i}"
                 )
-            if i in entries:
+            if i in seen:
                 raise DataFormatError(
                     f"line {lineno}: duplicate feature index {i}"
                 )
-            entries[i] = _parse_float(val, lineno)
-            n = max(n, i)
-        rows.append(entries)
-    if n == 0:
+            seen.add(i)
+            vals.append(_parse_float(val, lineno))
+            rows.append(r)
+            cols.append(i - 1)
+    if not cols:
         raise DataFormatError("no feature indices found in file")
-    X = np.zeros((len(rows), n))
-    for r, entries in enumerate(rows):
-        for i, val in entries.items():
-            X[r, i - 1] = val
+    X = np.zeros((len(ys), max(cols) + 1))
+    X[rows, cols] = vals
     return Dataset(X=X, y=np.array(ys))
 
 
@@ -184,12 +179,22 @@ def parse_dataset(path, fmt: DataFormat = DataFormat.CSV) -> Dataset:
 
 
 def write_csv(dataset: Dataset, path) -> None:
-    """Write CSV with 17-significant-digit features (exact round trip)."""
-    out = []
-    for x, y in zip(dataset.X, dataset.y):
-        feats = ",".join(format(v, ".17g") for v in x)
-        out.append(f"{int(y):+d},{feats}")
-    Path(path).write_text("\n".join(out) + "\n")
+    """Write CSV with 17-significant-digit features (exact round trip).
+
+    A dataset with no features (n = 0) is refused with ValueError before
+    the file is opened: ``parse_dataset`` rejects a CSV without feature
+    columns.
+    """
+    if dataset.n == 0:
+        raise ValueError("dataset has no features; a CSV needs at least one")
+    # An open handle, not the path: np.savetxt gzips a path ending in .gz.
+    with open(path, "w") as fh:
+        np.savetxt(
+            fh,
+            np.column_stack((dataset.y, dataset.X)),
+            fmt=["%+d"] + ["%.17g"] * dataset.n,
+            delimiter=",",
+        )
 
 
 def gen_synthetic(

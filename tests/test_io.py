@@ -15,6 +15,7 @@ from rampsvm import (
     write_csv,
 )
 from rampsvm import datasets
+from rampsvm.datasets import counterexample_dataset
 
 
 def test_csv_round_trip_exact(tmp_path):
@@ -165,14 +166,32 @@ def test_csv_round_trip_matches_line_loop(tmp_path):
     assert loop.y.tobytes() == back.y.tobytes()
 
 
+def test_write_csv_refuses_no_features(tmp_path):
+    # parse_dataset rejects a CSV without feature columns, so write_csv
+    # does not write one.
+    path = tmp_path / "empty.csv"
+    with pytest.raises(ValueError, match="no features"):
+        write_csv(Dataset(X=np.zeros((3, 0)), y=[1.0, -1.0, 1.0]), path)
+    assert not path.exists()
+
+
+# LIBSVM text and the (X, y) it parses to, bitwise: indices out of order,
+# a line without features and a signed zero.
+LIBSVM_ACCEPTED = [
+    ("+1 1:0.5 3:-2.0\n-1 2:1.25\n", [[0.5, 0.0, -2.0], [0.0, 1.25, 0.0]],
+     [1.0, -1.0]),
+    ("+1 3:1 1:2\n-1\n+1 2:-0.0\n",
+     [[2.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, -0.0, 0.0]], [1.0, -1.0, 1.0]),
+]
+
+
 def test_libsvm_parsing(tmp_path):
     path = tmp_path / "toy.libsvm"
-    path.write_text("+1 1:0.5 3:-2.0\n-1 2:1.25\n")
-    ds = parse_dataset(path, DataFormat.LIBSVM)
-    assert ds.m == 2 and ds.n == 3
-    assert np.array_equal(ds.X[0], [0.5, 0.0, -2.0])
-    assert np.array_equal(ds.X[1], [0.0, 1.25, 0.0])
-    assert np.array_equal(ds.y, [1.0, -1.0])
+    for text, X, y in LIBSVM_ACCEPTED:
+        path.write_text(text)
+        ds = parse_dataset(path, DataFormat.LIBSVM)
+        assert ds.X.tobytes() == np.array(X).tobytes()
+        assert ds.y.tobytes() == np.array(y).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -184,6 +203,10 @@ def test_libsvm_parsing(tmp_path):
         ("+1\n", "no feature"),
         ("3 1:1.0\n", "label"),
         ("+1 a:1.0\n", "line 1: bad feature index 'a'"),
+        # A line's value is parsed only after its index passes.
+        ("+1 2:x 2:1\n", "line 1: bad number 'x'"),
+        ("+1 1:1 1:x\n", "line 1: duplicate feature index 1"),
+        ("+1 1:inf\n", "line 1: non-finite value 'inf'"),
     ],
 )
 def test_libsvm_errors(tmp_path, text, fragment):
@@ -247,6 +270,29 @@ def test_gen_synthetic_bits_pinned(args, digest):
     ds = gen_synthetic(*args)
     got = hashlib.sha256(ds.X.tobytes() + ds.y.tobytes()).hexdigest()
     assert got[:16] == digest
+
+
+@pytest.mark.parametrize(
+    "dataset, digest",
+    [
+        pytest.param(lambda: gen_synthetic(4000, 4.0, 0.1, 0),
+                     "fda01d45c3c6a024", id="m8000"),
+        pytest.param(lambda: gen_synthetic(8, 4.0, 0.1, 15),
+                     "da0a163618252eeb", id="m16"),
+        pytest.param(counterexample_dataset, "747f5ef6473fbe1b",
+                     id="counterexample"),
+    ],
+)
+def test_write_csv_bytes_pinned(tmp_path, dataset, digest):
+    # A certificate reproduces only if the written file does.  A path
+    # ending in .gz gets the same plain bytes: np.savetxt would gzip it if
+    # write_csv passed it the path instead of an open handle.
+    ds = dataset()
+    write_csv(ds, tmp_path / "d.csv")
+    write_csv(ds, tmp_path / "d.csv.gz")
+    data = (tmp_path / "d.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest()[:16] == digest
+    assert (tmp_path / "d.csv.gz").read_bytes() == data
 
 
 def test_gen_synthetic_validation():
