@@ -139,7 +139,10 @@ def _digest(file_path=None, **params) -> str:
 
 
 def _emit(args, digest: str, report: dict, seed=None, out=None) -> None:
-    """Print the report, plus the keys every command's report carries."""
+    """Print the report, plus the keys every command's report carries.
+
+    The out file is written first, so a run that cannot write it prints
+    nothing on stdout before it exits 2."""
     report.update(
         command=args.subcommand,
         inputs_digest=digest,
@@ -151,9 +154,9 @@ def _emit(args, digest: str, report: dict, seed=None, out=None) -> None:
         },
     )
     text = _dumps(report) + "\n"
-    sys.stdout.write(text)
     if out is not None:
         Path(out).write_text(text)
+    sys.stdout.write(text)
 
 
 def _expect_exit(args, verdict: Verdict) -> int:

@@ -31,13 +31,13 @@ O(C(2m + 2d, d)) vertices of the arrangement of kink planes and box facets,
 d = n + 1, and generates each edge and 2-D face once, at its lowest vertex
 (the lowest-vertex rule of reverse search, Avis and Fukuda 1996), by one
 rule at every vertex: each line through it gives its up edge, and each
-active plane the face between the up edges of every two of its lines.  It
-solves each distinct face (its flat and its band set) once, with
-closed-form solves: cross products for the vertices and line directions,
-Cramer's rule for the faces.  Where planes coincide, a line is a zero or
-repeated row, and its face has the key of an edge at the same vertex,
-which comes first.  The oracle exists as an independent reference for
-testing stationarity claims at true minimizers, not as a practical trainer.
+active plane the face between the up edges of every two of its lines.
+Each face is solved there, as it is generated, in closed form: cross
+products for the vertices and line directions, Cramer's rule for the
+faces.  Where planes coincide, a line is a zero or parallel row, and a
+face with such dependent directions is skipped.  The oracle exists as an
+independent reference for testing stationarity claims at true minimizers,
+not as a practical trainer.
 """
 
 from __future__ import annotations
@@ -322,29 +322,22 @@ def _cramer(G, h):
     d = G.shape[-1]
     adj = np.stack(
         [
-            (-1) ** (j * (d - 1)) * _cross(G[:, [(j + i) % d for i in range(1, d)]])
+            (-1) ** (j * (d - 1))
+            * _cross(G[..., [(j + i) % d for i in range(1, d)], :])
             for j in range(d)
         ],
         axis=-1,
     )
-    return np.sum(G[:, 0] * adj[..., 0], axis=1), (adj @ h[..., None])[..., 0]
+    return np.sum(G[..., 0, :] * adj[..., 0], axis=-1), (adj @ h[..., None])[..., 0]
 
 
 def _first_rows(K):
-    """Indices of the first of each distinct row of the integer K, in order."""
+    """Indices of the first of each distinct row of K, in order."""
     order = np.lexsort(K.T[::-1])  # stable, so a run starts at its first row
     K = K[order]
     new = np.ones(len(K), dtype=bool)
     new[1:] = np.any(K[1:] != K[:-1], axis=1)
     return np.sort(order[new])
-
-
-def _bits(count):
-    """Row j holds bit j of a key packed into 64-bit words."""
-    j = np.arange(count, dtype=np.uint64)
-    bits = np.zeros((count, (count + 63) // 64), dtype=np.uint64)
-    bits[j, j // 64] = np.uint64(1) << j % 64
-    return bits
 
 
 def _up(t):
@@ -370,8 +363,8 @@ def _faces(NP):
     gives the face between the up edges of every two of its lines {p, q}
     and {p, q'}, U = (t, t'): a 2-D face lies between two up edges in its
     plane at its lowest vertex.  Where planes coincide, a line is a zero
-    row or repeats another; such a face's key is that of an edge at the
-    same vertex, which is yielded first.
+    row or parallel to another, so U's rows are dependent; the caller
+    skips such faces.
     """
     k, d = NP.shape[1:]
     lines = np.array(list(combinations(range(k), d - 1)), dtype=int)
@@ -391,15 +384,13 @@ def _candidates(T, N, r, box, C, B) -> np.ndarray:
     Every in-box vertex is one, and so is the minimizer of 1/2 |w|^2 + g^T z
     on the flat of every face that _faces yields at it, with g = -C sum B_i
     over the samples inside the band on that face; these get clipped into
-    the box.  So every edge and 2-D face in the box comes from its lowest
-    vertex; a vertex where more than d planes meet may yield one twice, and
-    faces in one flat may share a band set.  That minimizer depends only on
-    the face's flat (the planes that hold it) and its band set, so one
-    (vertex, face) pair per such key is solved: the first with it, taking
-    vertices by their number of active planes and then in order, edges
-    before 2-D faces.  So a face with a zero or repeated row, whose key is
-    an edge's at the same vertex, is never solved.  Flats free along b are
-    skipped: their minimum is also on a lower face.
+    the box.  Each face is solved right where it is yielded, at its lowest
+    vertex, so every edge and 2-D face in the box comes from there; a vertex
+    where more than d planes meet may yield one twice.  Faces whose
+    directions are dependent (a zero or parallel row, where planes
+    coincide) are skipped: they span an edge that the same vertex yields
+    as one.  So are flats free along b: their minimum is also on a lower
+    face.
     """
     m, d = B.shape
     det, x = _cramer(N[T], r[T])
@@ -411,49 +402,38 @@ def _candidates(T, N, r, box, C, B) -> np.ndarray:
     # A plane within this residual counts as active, which only adds faces.
     size = 1.0 + np.abs(V).max(axis=1, keepdims=True)
     active = np.abs(V @ N.T - r) <= 1e-9 * size
-    # A key has a bit per plane, set if the plane holds the face, and one
-    # per sample, set if the sample is inside the band on the face.
-    bits = _bits(len(r) + m)
-    plane_bits, sample_bits = bits[: len(r)], bits[len(r) :]
-    band_bits = np.vstack((sample_bits, sample_bits, np.zeros_like(plane_bits[: 2 * d])))
     # Its active planes fix a vertex; several subsets cut out a degenerate one.
-    first = _first_rows(active @ plane_bits)
+    first = _first_rows(active)
     V, active = V[first], active[first]
     u = 1.0 - V @ B.T
     inside = (u > 0.0) & (u < 1.0) & ~(active[:, :m] | active[:, m : 2 * m])
-    g_vertex, inside_key = -C * (inside @ B), inside @ sample_bits
+    g_vertex = -C * (inside @ B)
     S = np.vstack((B, B, np.zeros((2 * d, d))))  # B_i of each kink plane
-    pairs, keys = [], []
+    found = [V]
     counts = active.sum(axis=1)
     for k in np.unique(counts):
         rows = np.flatnonzero(counts == k)
         P = np.nonzero(active[rows])[1].reshape(rows.size, k)
+        v, g_v, S_P = V[rows], g_vertex[rows, None], S[P]
         for U, proj in _faces(N[P]):
             # Each active plane is crossed along the first row of U not in it.
-            cross = np.where(proj[:, :, 0] == 0.0, proj[:, :, -1], proj[:, :, 0])
-            band = cross > 0.0  # a box plane has no band bit and S row 0
-            key = np.all(proj == 0.0, axis=2) @ plane_bits[P] + band @ band_bits[P]
-            keys.append((key + inside_key[rows, None]).reshape(-1, bits.shape[1]))
-            pairs.append((rows, P, U, band))
-    sizes = [len(key) for key in keys]
-    first = np.zeros(sum(sizes), dtype=bool)
-    first[_first_rows(np.concatenate(keys))] = True
-    found = [V]
-    for (rows, P, U, band), pick in zip(pairs, np.split(first, np.cumsum(sizes)[:-1])):
-        i, f = np.nonzero(pick.reshape(band.shape[:2]))
-        v, U = V[rows[i]], U[i, f]
-        g = g_vertex[rows[i]] - C * (band[i, f, None] @ S[P[i]])[:, 0]
-        # Minimize over alpha: (Uw Uw^T) alpha = -(Uw w_v + U g).
-        Uw = U[..., :-1]
-        h = -(Uw @ v[:, :-1, None] + U @ g[..., None])[..., 0]
-        det, x = _cramer(Uw @ Uw.swapaxes(1, 2), h)
-        # The flat is free along b where det(Uw Uw^T) is small beside det(U U^T).
-        G = U @ U.swapaxes(1, 2)
-        vol = G[:, 0, 0]
-        if U.shape[1] == 2:
-            vol = vol * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
-        ok = det > _SINGULAR * vol
-        found.append(v[ok] + ((x[ok] / det[ok, None])[:, None] @ U[ok])[:, 0])
+            cross = np.where(proj[..., 0, :] == 0.0, proj[..., -1, :], proj[..., 0, :])
+            g = g_v - C * ((cross > 0.0) @ S_P)  # a box plane has S row 0
+            # Minimize over alpha: (Uw Uw^T) alpha = -(Uw w_v + U g).
+            Uw = U[..., :-1]
+            h = -(Uw @ v[:, None, :-1, None] + U @ g[..., None])[..., 0]
+            det, x = _cramer(Uw @ Uw.swapaxes(-1, -2), h)
+            # The directions are dependent where det(U U^T) is small beside
+            # the product of their squared lengths, and the flat is free
+            # along b where det(Uw Uw^T) is small beside det(U U^T).
+            G = U @ U.swapaxes(-1, -2)
+            vol = lengths = G[..., 0, 0]
+            if U.shape[-2] == 2:
+                lengths = lengths * G[..., 1, 1]
+                vol = lengths - G[..., 0, 1] * G[..., 1, 0]
+            ok = (vol > _SINGULAR * lengths) & (det > _SINGULAR * vol)
+            i = np.nonzero(ok)[0]
+            found.append(v[i] + ((x[ok] / det[ok, None])[:, None] @ U[ok])[:, 0])
     return np.clip(np.concatenate(found), box[:, 0], box[:, 1])
 
 
@@ -470,12 +450,10 @@ def global_oracle(
     the oracle visits the O(C(2m + 2d, d)) vertices.  Every line through
     a vertex has one up side, fixed by its direction alone, so each bounded
     edge and 2-D face is generated once, at the vertex from which all of
-    it goes up: its lowest.  That quadratic depends only on the face's flat
-    (the planes that hold it) and its band set (the samples with 0 < u < 1
-    on it), so it is minimized in closed form once per distinct flat and
-    band set, from the first face in a fixed order that has them.  Ties
-    still go to the first best candidate in a fixed order, so repeated
-    calls agree bit for bit.
+    it goes up: its lowest.  The face's quadratic is minimized there, over
+    the face's flat, in closed form; a face whose directions are dependent
+    (where planes coincide) is skipped.  Ties go to the first best
+    candidate in a fixed order, so repeated calls agree bit for bit.
     bounds holds one (lo, hi) pair per coordinate of (w, b).  Returns
     (w, b, value) with value = objective(w, b).
     """
@@ -507,9 +485,15 @@ def global_oracle(
 
 
 def predict(w, b: float, x) -> int:
-    """Classify x by the sign of <w, x> + b, with sign(0) taken as +1."""
+    """Classify x by the sign of <w, x> + b, with sign(0) taken as +1.
+
+    A non-finite w, b or x raises ValueError: it has no sign to give."""
     w = np.asarray(w, dtype=float)
     x = np.asarray(x, dtype=float)
+    b = float(b)
     if x.shape != w.shape:
         raise ValueError(f"x has shape {x.shape}, expected {w.shape}")
-    return 1 if float(w @ x) + float(b) >= 0.0 else -1
+    for name, v in (("w", w), ("b", b), ("x", x)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite")
+    return 1 if float(w @ x) + b >= 0.0 else -1

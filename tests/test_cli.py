@@ -128,6 +128,18 @@ def test_train_out_file_matches_stdout(capsys, easy_csv, tmp_path):
     assert out_path.read_text() == out
 
 
+def test_train_unwritable_out_prints_nothing(capsys, easy_csv, tmp_path):
+    # An --out that cannot be written is an input error: exit 2 with
+    # nothing on stdout, the report included, and one error line.
+    capsys.readouterr()
+    code = main(["train", "--data", str(easy_csv), "--C", "1.0", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
 def test_train_expect_pstationary(capsys, easy_csv):
     code, _ = run_cli(
         capsys,

@@ -461,7 +461,9 @@ def test_train_diverged_status():
 # Integer-grid instances.  Every plane u_i = 1 (B_i z = 0) passes through
 # z = 0, so m >= 4 planes meet at that vertex; repeated and collinear
 # samples add coincident planes and more such vertices.  The two sets with
-# m = 6 have tied minima at distinct points.
+# m = 6 have tied minima at distinct points.  In the last set, planes
+# coincide so that two parallel line directions of different lengths bound
+# a face: its directions are dependent, and it must be skipped, not solved.
 _GRID_INSTANCES = [
     ([[-1], [1], [0], [-1]], [1, -1, -1, 1]),
     ([[0], [1], [2], [-1], [1]], [1, 1, -1, -1, -1]),
@@ -470,6 +472,7 @@ _GRID_INSTANCES = [
     ([[1, 1], [-1, -1], [1, -1], [-1, 1]], [1, -1, 1, -1]),
     ([[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]], [1, 1, -1, -1, 1, -1]),
     ([[1, 1], [1, 1], [-1, 0], [0, -1], [2, 2]], [1, -1, 1, -1, 1]),
+    ([[0, 2], [2, -2], [-2, -2], [-1, -2], [-2, -1]], [1, 1, -1, 1, 1]),
 ]
 
 
@@ -809,6 +812,15 @@ def test_predict_signs():
     assert predict(w, 0.0, np.array([1.0, 1.0])) == 1  # tie goes positive
     with pytest.raises(ValueError):
         predict(w, 0.0, np.array([1.0]))
+    # A non-finite input has no sign.
+    for args, name in [
+        (([np.nan], 0.0, [1.0]), "w"),
+        (([1.0], -np.inf, [1.0]), "b"),
+        (([1.0], 0.0, [np.inf]), "x"),
+        (([0.0], 0.0, [np.inf]), "x"),
+    ]:
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            predict(*args)
 
 
 def test_diagnostics_present():
