@@ -161,8 +161,9 @@ def residual_rows(problem: ProblemData, Z, U, L, F, params=None) -> np.ndarray:
     n = problem.n
     R = np.empty((len(L), 3 if params is None else 4))
     G = np.empty((len(L), n + 1))
+    BT_dot = problem.B.T.dot
     for g, lam in zip(G, L):
-        problem.B.T.dot(lam, g)
+        BT_dot(lam, g)
     G[:, :n] += Z[:, :n]
     np.abs(G, G)
     G[:, :n].max(axis=1, initial=0.0, out=R[:, 0])

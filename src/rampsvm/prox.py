@@ -26,6 +26,9 @@ trainer's prox step calls _prox_primary, the primary branch on which
 prox_array is built, without prox_array's finiteness check.  Both read
 gamma*C and the tie threshold that ProxParams works out once, when it is
 built, with the floats the scalar branches compute on every call.
+_prox_primary takes them, and 0.0, as read-only 0-d float64 arrays, also
+worked out once: numpy converts a Python-float operand again on every call,
+and a 0-d float64 array rounds the same way for less overhead.
 """
 
 from __future__ import annotations
@@ -52,14 +55,21 @@ class ProxParams:
 
     gammaC, the product gamma*C that selects the prox regime, and the tie
     threshold, the input s at which the prox has two members, are worked
-    out once, here, for the trainer's per-iteration prox.  They follow from
-    (gamma, C), so equality, hashing and repr use those two alone.
+    out once, here, for the trainer's per-iteration prox.  So are the
+    read-only 0-d float64 arrays of both and of 0.0 that _prox_primary
+    takes as operands: numpy converts a Python-float operand on every call,
+    and a 0-d float64 array rounds the same way for less overhead.  All of
+    them follow from (gamma, C), so equality, hashing and repr use those
+    two alone.
     """
 
     gamma: float
     C: float
     gammaC: float = field(init=False, repr=False, compare=False)
     _threshold: float = field(init=False, repr=False, compare=False)
+    _gammaC0: np.ndarray = field(init=False, repr=False, compare=False)
+    _threshold0: np.ndarray = field(init=False, repr=False, compare=False)
+    _zero0: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_positive("gamma", self.gamma)
@@ -68,6 +78,10 @@ class ProxParams:
         thr = 1.0 + gc / 2.0 if gc < 2.0 else math.sqrt(2.0 * gc)
         object.__setattr__(self, "gammaC", gc)
         object.__setattr__(self, "_threshold", thr)
+        for name, value in (("_gammaC0", gc), ("_threshold0", thr), ("_zero0", 0.0)):
+            arr = np.array(value, dtype=np.float64)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -134,13 +148,17 @@ def _prox_primary(s: np.ndarray, params: ProxParams, out=None) -> np.ndarray:
     the shift regime then subtracts gamma*C on [gamma*C, threshold).  That
     gives prox_scalar's first value bit for bit, signed zeros and ties
     included, and a non-finite value for a non-finite s."""
-    gc, thr = params.gammaC, params._threshold
-    if gc >= 2.0:
-        return np.multiply(s, (s <= 0.0) | (s >= thr), out=out)
-    shift = gc * ((s >= gc) & (s < thr))
-    out = np.multiply(s, (s <= 0.0) | (s >= gc), out=out)
-    out -= shift
-    return out
+    gc, thr, zero = params._gammaC0, params._threshold0, params._zero0
+    keep = s <= zero
+    if params.gammaC >= 2.0:
+        np.bitwise_or(keep, s >= thr, keep)
+        return np.multiply(s, keep, out=out)
+    above = s >= gc
+    band = s < thr
+    np.bitwise_and(band, above, band)
+    np.bitwise_or(keep, above, keep)
+    out = np.multiply(s, keep, out=out)
+    return np.subtract(out, gc, out, where=band)
 
 
 def prox_array(s, params: ProxParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

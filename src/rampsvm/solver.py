@@ -226,30 +226,36 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
         return PrimalDualPoint(w=Z[j, :n], b=Z[j, n], u=U[j], lam=L[j])
 
     lam_s, s, rhs, step = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
+    # The core phase's scalar operands and callables, bound once.
+    sigma0, one0 = np.array(sigma, dtype=np.float64), np.array(1.0)
+    divide, subtract, add, multiply = np.divide, np.subtract, np.add, np.multiply
+    K_dot, B_dot = K.dot, B.dot
     it, stop = 0, None
     while it < max_iter and not cycle:
         # Core phase: the iterations themselves, one at a time, with no
         # finiteness test.  A non-finite iterate runs on to the block's end,
         # so the arithmetic on it overflows or meets inf - inf silently.
         # ndarray.dot calls the BLAS product that np.matmul calls, with
-        # less overhead per call.
+        # less overhead per call.  sigma and 1.0 go in as 0-d float64
+        # arrays: numpy converts a Python-float operand on every call, and a
+        # 0-d float64 array rounds the same way for less overhead.
         start, k = it, 0
         with np.errstate(over="ignore", invalid="ignore"):
             while k < rows and it < max_iter:
                 it += 1
-                np.divide(lam, sigma, lam_s)
-                np.subtract(1.0, Bz, s)
-                s -= lam_s
+                divide(lam, sigma0, lam_s)
+                subtract(one0, Bz, s)
+                subtract(s, lam_s, s)
                 u = _prox_primary(s, params, U_row[k])
-                np.subtract(u, 1.0, rhs)
-                rhs += lam_s
-                z = K.dot(rhs, Z_row[k])
-                B.dot(z, Bz)
-                feas = np.add(u, Bz, F_row[k])
-                feas -= 1.0
-                np.multiply(feas, sigma, step)
+                subtract(u, one0, rhs)
+                add(rhs, lam_s, rhs)
+                z = K_dot(rhs, Z_row[k])
+                B_dot(z, Bz)
+                feas = add(u, Bz, F_row[k])
+                subtract(feas, one0, feas)
+                multiply(feas, sigma0, step)
                 # From m = 4097 up L[k] is also the old lam, read in place.
-                lam = np.add(lam, step, L_row[k])
+                lam = add(lam, step, L_row[k])
                 k += 1
                 # A repeated state replays iterations already screened:
                 # none of them can converge, and under the strict < none

@@ -303,6 +303,21 @@ def test_prox_params_cached_values():
     b = dataclasses.replace(a, C=4.0)
     assert b == ProxParams(1.5, 4.0)
     assert (b.gammaC, b._threshold) == (6.0, math.sqrt(12.0))
+    # The prox's operands are read-only 0-d float64 arrays of gammaC, the
+    # threshold and 0.0, also worked out again by dataclasses.replace and
+    # also unseen by equality, hashing and repr.
+    for p in (a, b):
+        operands = (p._gammaC0, p._threshold0, p._zero0)
+        for arr, value in zip(operands, (p.gammaC, p._threshold, 0.0)):
+            assert isinstance(arr, np.ndarray)
+            assert arr.shape == () and arr.dtype == np.float64
+            assert _bits(float(arr)) == _bits(value)
+            with pytest.raises(ValueError):
+                arr[()] = 1.0
+    c = ProxParams(1.5, 0.5)
+    object.__setattr__(c, "_threshold0", np.array(7.0))
+    assert c == a and hash(c) == hash(a)
+    assert repr(c) == "ProxParams(gamma=1.5, C=0.5)"
     # At gamma*C = 2 the threshold regime applies, and just below it the
     # shift regime; the trainer's prox gives the scalar reference's first
     # value bit for bit in both, at and next to every anchor.
