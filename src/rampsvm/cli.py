@@ -160,9 +160,8 @@ def _emit(args, digest: str, report: dict, seed=None, out=None) -> None:
 
 
 def _expect_exit(args, verdict: Verdict) -> int:
-    if getattr(args, "expect", None) == "p-stationary":
-        if verdict is not Verdict.P_STATIONARY:
-            return 4
+    if args.expect == "p-stationary" and verdict is not Verdict.P_STATIONARY:
+        return 4
     return 0
 
 
@@ -179,25 +178,15 @@ def cmd_train(args) -> int:
         max_iter=args.max_iter,
     )
     res = train_admm(problem, config)
-    digest = _digest(
-        args.data,
-        C=config.C,
-        sigma=config.sigma,
-        tol=config.tol,
-        max_iter=config.max_iter,
-    )
+    # The digest and the report take the parameters from the config that
+    # ran, sigma resolved.
+    params = asdict(config)
     report = {
         "problem": _problem_dict(problem),
-        "params": {
-            "C": config.C,
-            "sigma": config.sigma,
-            "gamma": config.gamma,
-            "tol": config.tol,
-            "max_iter": config.max_iter,
-        },
+        "params": {**params, "gamma": config.gamma},
         "result": _result_dict(res),
     }
-    _emit(args, digest, report, out=args.out)
+    _emit(args, _digest(args.data, **params), report, out=args.out)
     if res.status is SolveStatus.DIVERGED:
         return 3
     return _expect_exit(args, res.certificate.verdict)
@@ -239,23 +228,17 @@ def _grading_report(graded, problem, C, gammas) -> dict:
 def cmd_certify(args) -> int:
     dataset = parse_dataset(args.data, DataFormat.CSV)
     problem = build_problem(dataset)
-    w = np.asarray(args.w, dtype=float)
-    if w.shape != (problem.n,):
+    if len(args.w) != problem.n:
         raise ValueError(
-            f"--w has {w.size} entries, dataset has {problem.n} features"
+            f"--w has {len(args.w)} entries, dataset has {problem.n} features"
         )
     if args.lam is not None and len(args.lam) != problem.m:
         raise ValueError(
             f"--lambda has {len(args.lam)} entries, dataset has {problem.m} samples"
         )
-    graded = grade(w, args.b, problem, args.C, args.lam)
+    graded = grade(args.w, args.b, problem, args.C, args.lam)
     digest = _digest(
-        args.data,
-        w=_floats(w),
-        b=args.b,
-        C=args.C,
-        gammas=args.gammas,
-        lam=None if args.lam is None else _floats(args.lam),
+        args.data, w=args.w, b=args.b, C=args.C, gammas=args.gammas, lam=args.lam
     )
     _emit(args, digest, _grading_report(graded, problem, args.C, args.gammas))
     return _expect_exit(args, graded[0].verdict)
@@ -280,23 +263,24 @@ def cmd_support_vectors(args) -> int:
     problem = build_problem(dataset)
     config = SolverConfig(C=args.C, sigma=args.sigma)
     res = train_admm(problem, config)
+    params = {"C": config.C, "sigma": config.sigma}
     gamma = config.gamma
     verdict = res.certificate.verdict
     support = extract_support(res.point, problem)
     margin_check = None
     if res.status is SolveStatus.DIVERGED:
         skipped = "solver diverged"
-    elif gamma * args.C < 2.0:
-        skipped = f"gamma*C = {gamma * args.C} < 2, margin geometry not applicable"
+    elif gamma * config.C < 2.0:
+        skipped = f"gamma*C = {gamma * config.C} < 2, margin geometry not applicable"
     elif verdict is not Verdict.P_STATIONARY:
         skipped = f"point not certified p-stationary (verdict {verdict.value})"
     else:
-        holds, deviation = verify_support_margins(res.point, problem, args.C, gamma)
+        holds, deviation = verify_support_margins(res.point, problem, config.C, gamma)
         margin_check = {"holds": holds, "max_deviation": deviation}
         skipped = None
     report = {
         "problem": _problem_dict(problem),
-        "params": {"C": args.C, "sigma": args.sigma, "gamma": gamma},
+        "params": {**params, "gamma": gamma},
         "result": {
             "train_status": res.status.value,
             "iterations": res.iterations,
@@ -311,7 +295,7 @@ def cmd_support_vectors(args) -> int:
             "margin_check_skipped": skipped,
         },
     }
-    _emit(args, _digest(args.data, C=args.C, sigma=args.sigma), report)
+    _emit(args, _digest(args.data, **params), report)
     if res.status is SolveStatus.DIVERGED:
         return 3
     return 0
@@ -319,12 +303,11 @@ def cmd_support_vectors(args) -> int:
 
 def cmd_counterexample(args) -> int:
     """The grading report of the bundled KKT-only fixture."""
-    gammas = args.gammas if args.gammas else list(COUNTEREXAMPLE_GAMMAS)
     problem = build_problem(counterexample_dataset())
     point = counterexample_point()
     graded = grade(point.w, point.b, problem, COUNTEREXAMPLE_C, point.lam)
-    report = _grading_report(graded, problem, COUNTEREXAMPLE_C, gammas)
-    _emit(args, _digest(gammas=gammas), report)
+    report = _grading_report(graded, problem, COUNTEREXAMPLE_C, args.gammas)
+    _emit(args, _digest(gammas=args.gammas), report)
     return 0
 
 
@@ -412,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         "counterexample",
         help="run the embedded KKT-but-not-P-stationary fixture",
     )
-    p.add_argument("--gammas", type=_float_list, default=None)
+    p.add_argument("--gammas", type=_float_list, default=list(COUNTEREXAMPLE_GAMMAS))
     p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser("gen-data", help="generate a synthetic CSV dataset")
@@ -438,7 +421,3 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

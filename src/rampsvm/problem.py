@@ -125,20 +125,6 @@ def build_problem(dataset: Dataset) -> ProblemData:
     return ProblemData(dataset=dataset, A=A, y=y, B=B, lambda_h=lam)
 
 
-def _cholesky(M: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive-definite M.
-
-    numpy's factorization does not reject infs or NaNs (it returns NaN
-    rows), so a non-finite M is refused here; that and a non-SPD M raise
-    LinAlgError.
-    """
-    if not np.isfinite(M).all():
-        raise np.linalg.LinAlgError(
-            "SPD factorization failed: array must not contain infs or NaNs"
-        )
-    return np.linalg.cholesky(M)
-
-
 def _cho_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve L L^T x = rhs for a lower triangular factor L.
 
@@ -163,10 +149,15 @@ def spd_solver(M):
     The closure solves by forward and back substitution with the Cholesky
     factor and applies one step of iterative refinement, which keeps the
     residual near machine precision for the mildly conditioned systems we
-    build.  A non-SPD or non-finite M raises LinAlgError.
+    build.  A non-SPD M raises LinAlgError, and so does a non-finite M,
+    which numpy's factorization would not reject (it returns NaN rows).
     """
     M = np.asarray(M, dtype=float)
-    L = _cholesky(M)
+    if not np.isfinite(M).all():
+        raise np.linalg.LinAlgError(
+            "SPD factorization failed: array must not contain infs or NaNs"
+        )
+    L = np.linalg.cholesky(M)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         x = _cho_solve(L, rhs)

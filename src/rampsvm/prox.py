@@ -26,9 +26,6 @@ trainer's prox step calls _prox_primary, the primary branch on which
 prox_array is built, without prox_array's finiteness check.  Both read
 gamma*C and the tie threshold that ProxParams works out once, when it is
 built, with the floats the scalar branches compute on every call.
-_prox_primary takes them, and 0.0, as read-only 0-d float64 arrays, also
-worked out once: numpy converts a Python-float operand again on every call,
-and a 0-d float64 array rounds the same way for less overhead.
 """
 
 from __future__ import annotations

@@ -9,22 +9,8 @@ cycles three exact updates with a constant penalty sigma:
            built before the loop from one factorization of the SPD M
     lambda gradient ascent on the constraint residual
 
-The problem is nonconvex, so no convergence guarantee is claimed.  Instead
-every iterate is screened with the P-stationarity residuals, which
-certify.residual_rows computes from the arrays the iteration already holds,
-the same floats check_pstationary reports; the solver reports CONVERGED at
-the first iterate whose residuals all pass tol, and MAX_ITER / DIVERGED are
-first-class outcomes.  The iterations run one at a time, while the screen
-runs once per block of up to 64 of them, on arrays that hold one iterate
-per row; the result is bit for bit the one a screen after every iteration
-gives.  The state (B z, lambda) fixes every later iteration, so a run stops
-at the first bit-for-bit repeat of it that Brent's cycle detection sees,
-with the MAX_ITER result its full budget would give.  Each iteration writes
-its vectors in place.  Only lambda is tested for finiteness, once per
-block, on all its rows: a non-finite s, u or z carries on into lambda in
-the same iteration, and a non-finite lambda stays non-finite, so the
-block's first non-finite row is the iteration that tests of all of them
-after every iteration would flag, and the run ends DIVERGED there.
+train_admm's docstring gives its outcomes and the reasons behind its block
+screen, cycle stop, finiteness test and operands.
 
 The global oracle is exact over a (w, b) box for n <= 2: it enumerates the
 O(C(2m + 2d, d)) vertices of the arrangement of kink planes and box facets,
@@ -140,36 +126,49 @@ _BLOCK_SIZE = 4096
 def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
     """Run the alternating scheme until the stationarity residuals pass tol.
 
+    The problem is nonconvex, so no convergence guarantee is claimed; every
+    iterate is screened instead.  CONVERGED is returned at the first iterate
+    whose largest residual is at most tol.  MAX_ITER results carry the
+    iterate with the smallest largest residual (the earliest on ties), with
+    its iteration in diagnostics["best_iteration"].  A failed SPD
+    factorization or a non-finite iterate yields DIVERGED with the trigger
+    recorded in diagnostics, once the iterates before it have been screened.
+    Every result carries the certificate of its point from one
+    check_pstationary call, at the configured tolerance and prox step
+    1/sigma, so a CONVERGED one is P_STATIONARY.
+
     The (w, b) system is factored once, before the loop, into the gain
-    matrix K = -sigma M^{-1} B^T.  The iterations run one at a time in
-    blocks of up to 64, each keeping its iterate in a row of the block's
-    arrays.  The screen then rules out the rows whose r_feas already fails
-    tol and the best iterate as it stood at the block's start, takes the
-    residuals of the rest from residual_rows, the floats check_pstationary
-    gives for them, and applies the rules below to the rows in iteration
-    order, so the result is bit for bit that of a screen after every
-    iteration.  CONVERGED is returned at the first iterate whose largest
-    residual is at most tol.  MAX_ITER results carry the iterate with the
-    smallest largest residual (the earliest on ties), with its iteration in
-    diagnostics["best_iteration"].  Every result carries the certificate of
-    its point from one check_pstationary call, at the configured tolerance
-    and prox step 1/sigma, so a CONVERGED one is P_STATIONARY.  A run whose
-    state (B z, lambda) repeats byte for byte only replays iterates it has
-    screened, so it stops at the first repeat that Brent's cycle detection
-    sees and returns what the full budget would: the same MAX_ITER result,
-    iterations = max_iter, plus the minimal period of the cycle in
-    diagnostics["cycle_period"].  A failed SPD factorization or a
-    non-finite iterate yields DIVERGED with the trigger recorded in
-    diagnostics, once the iterates before it have been screened.  Only
-    lambda is tested for finiteness, once per block after its iterations,
-    and that flags the same iteration as testing s, z and lambda after
-    every iteration: a non-finite prox input s gives a non-finite u in both
-    prox regimes, a non-finite z makes every entry of B z non-finite, as
-    B's last column holds the labels, and either makes the feasibility
-    residual, and so lambda, non-finite.  Once non-finite, lambda stays
-    non-finite, so the block's first non-finite row is the run's first
-    non-finite iteration: the block is cut before it, and the run ends
-    DIVERGED at that iteration.
+    matrix K = -sigma M^{-1} B^T.  Four shortcuts keep every result bit for
+    bit that of a screen and a finiteness test after every iteration:
+
+    * Block screen.  The iterations run one at a time in blocks of up to
+      64, each keeping its iterate in a row of the block's arrays.  The
+      screen then rules out the rows whose r_feas already fails tol and the
+      best iterate as it stood at the block's start (the best only improves
+      during a block), takes the residuals of the rest from residual_rows,
+      the floats check_pstationary gives for them, and applies the rules
+      above to the rows in iteration order.
+    * Cycle stop.  The state (B z, lambda) fixes every later iteration, so
+      a run whose state repeats byte for byte only replays iterates it has
+      screened: none can converge, and under the strict < none replaces the
+      best.  It stops at the first repeat that Brent's cycle detection sees
+      and returns what the full budget would: the same MAX_ITER result,
+      iterations = max_iter, plus the minimal period of the cycle in
+      diagnostics["cycle_period"].
+    * Finiteness.  Only lambda is tested, once per block after its
+      iterations, and that flags the same iteration as testing s, z and
+      lambda after every iteration: a non-finite prox input s gives a
+      non-finite u in both prox regimes, a non-finite z makes every entry
+      of B z non-finite, as B's last column holds the labels, and either
+      makes the feasibility residual, and so lambda, non-finite.  Once
+      non-finite, lambda stays non-finite, so the block's first non-finite
+      row is the run's first non-finite iteration: the block is cut before
+      it, and the run ends DIVERGED at that iteration.
+    * Operands.  Each iteration writes its vectors in place and calls
+      ndarray.dot, the BLAS product np.matmul calls, with less overhead per
+      call.  sigma and 1.0 go in as 0-d float64 arrays made once per run:
+      numpy converts a Python-float operand on every call, and a 0-d
+      float64 array rounds the same way for less overhead.
     """
     B = problem.B
     m, n = problem.m, problem.n
@@ -208,9 +207,9 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
     Bz = np.zeros(m)  # B @ (w; b) of the current iterate
     lam = np.zeros(m)
     best_worst, best = math.inf, None  # best iterate: (iteration, point)
-    # The state (B z, lam) fixes every later iteration.  Brent's cycle
-    # detection keeps the bytes of one earlier state, saved at iterations
-    # 1, 2, 4, 8, ..., and stops at the first state equal to it.
+    # Brent's cycle detection keeps the bytes of one earlier state (B z,
+    # lam), saved at iterations 1, 2, 4, 8, ..., and stops at the first
+    # state equal to it.
     saved_it, saved_lam, saved_Bz = 0, None, None
     cycle = {}
     # Iteration i of a block writes u, the feasibility residual, lam and z
@@ -235,10 +234,6 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
         # Core phase: the iterations themselves, one at a time, with no
         # finiteness test.  A non-finite iterate runs on to the block's end,
         # so the arithmetic on it overflows or meets inf - inf silently.
-        # ndarray.dot calls the BLAS product that np.matmul calls, with
-        # less overhead per call.  sigma and 1.0 go in as 0-d float64
-        # arrays: numpy converts a Python-float operand on every call, and a
-        # 0-d float64 array rounds the same way for less overhead.
         start, k = it, 0
         with np.errstate(over="ignore", invalid="ignore"):
             while k < rows and it < max_iter:
@@ -257,21 +252,15 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
                 # From m = 4097 up L[k] is also the old lam, read in place.
                 lam = add(lam, step, L_row[k])
                 k += 1
-                # A repeated state replays iterations already screened:
-                # none of them can converge, and under the strict < none
-                # replaces the best iterate, so the run ends as the full
-                # budget would.
                 lam_bytes = lam.tobytes()
                 if lam_bytes == saved_lam and Bz.tobytes() == saved_Bz:
                     cycle = {"cycle_period": it - saved_it}
                     break
                 if it & (it - 1) == 0:
                     saved_it, saved_lam, saved_Bz = it, lam_bytes, Bz.tobytes()
-        # The one finiteness test, once per block, on lam (the docstring
-        # says why that is enough).  A non-finite lam stays non-finite, so
-        # the first such row is the run's first non-finite iterate: the
-        # block ends before it, and the DIVERGED return below drops any
-        # cycle seen after it.
+        # The one finiteness test, once per block, on lam.  The block ends
+        # before its first non-finite row, and the DIVERGED return below
+        # drops any cycle seen after it.
         bad = np.flatnonzero(~np.isfinite(L[:k]).all(axis=1))
         if bad.size:
             k = int(bad[0])
@@ -279,9 +268,7 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
             stop = f"non-finite iterate at iteration {it}"
         # Screen phase: the residuals of the block's k rows, only for the
         # rows whose r_feas can still pass tol or beat the best iterate as
-        # it stood at the block's start.  The best only improves during the
-        # block, so these rows include every row the per-iteration rules
-        # below look at.
+        # it stood at the block's start.
         r_feas = np.abs(F[:k]).max(axis=1)
         keep = np.flatnonzero((r_feas <= tol) | (r_feas < best_worst))
         if keep.size:

@@ -8,6 +8,7 @@ import pkgutil
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from rampsvm import (
     COUNTEREXAMPLE_C,
     Dataset,
     ProxParams,
+    SolverConfig,
     counterexample_dataset,
     counterexample_point,
     gen_synthetic,
@@ -126,6 +128,63 @@ def test_train_out_file_matches_stdout(capsys, easy_csv, tmp_path):
         "train", "--data", str(easy_csv), "--C", "1.0", "--out", str(out_path),
     )
     assert out_path.read_text() == out
+
+
+def _file_digest(path, params):
+    """SHA-256 of the file bytes, then json.dumps(params, sort_keys=True)."""
+    data = Path(path).read_bytes() + json.dumps(params, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+# A value for each SolverConfig field that differs from the base run's.
+_CHANGED_FIELD = {"C": "2.0", "sigma": "4.0", "tol": "1e-08", "max_iter": "50"}
+
+
+@pytest.mark.parametrize("sigma", [None, "4.0"], ids=["default-sigma", "sigma"])
+def test_train_params_and_digest_are_the_solver_config(capsys, easy_csv, sigma):
+    # The report's params, gamma aside, are the fields of the SolverConfig
+    # that ran (sigma resolved to C/2 when omitted), and inputs_digest hashes
+    # the CSV bytes and exactly those fields.
+    argv = ["train", "--data", str(easy_csv), "--C", "1.0"]
+    if sigma is not None:
+        argv += ["--sigma", sigma]
+    _, out = run_cli(capsys, *argv)
+    report = json.loads(out)
+    config = SolverConfig(C=1.0, sigma=None if sigma is None else float(sigma))
+    params = dict(report["params"])
+    assert params.pop("gamma") == config.gamma
+    assert params == asdict(config)
+    assert params["sigma"] == (0.5 if sigma is None else float(sigma))
+    assert report["inputs_digest"] == _file_digest(easy_csv, params)
+
+
+def test_train_digest_changes_with_every_solver_config_field(capsys, easy_csv):
+    base = ["train", "--data", str(easy_csv), "--C", "1.0", "--max-iter", "20"]
+    _, out = run_cli(capsys, *base)
+    digests = {json.loads(out)["inputs_digest"]}
+    assert {f.name for f in fields(SolverConfig)} == set(_CHANGED_FIELD)
+    for name, value in _CHANGED_FIELD.items():
+        _, out = run_cli(capsys, *base, "--" + name.replace("_", "-"), value)
+        report = json.loads(out)
+        assert report["params"][name] == float(value), name
+        digests.add(report["inputs_digest"])
+    assert len(digests) == 1 + len(_CHANGED_FIELD)
+
+
+def test_support_vectors_params_and_digest(capsys, easy_csv):
+    # One {C, sigma} dict feeds the report's params (plus gamma) and the
+    # digest; changing either parameter changes the digest.
+    digests = set()
+    for C, sigma in [("1.0", "0.5"), ("2.0", "0.5"), ("1.0", "4.0")]:
+        _, out = run_cli(
+            capsys, "support-vectors", "--data", str(easy_csv), "--C", C, "--sigma", sigma
+        )
+        report = json.loads(out)
+        params = {"C": float(C), "sigma": float(sigma)}
+        assert report["params"] == {**params, "gamma": 1.0 / float(sigma)}
+        assert report["inputs_digest"] == _file_digest(easy_csv, params)
+        digests.add(report["inputs_digest"])
+    assert len(digests) == 3
 
 
 def test_train_unwritable_out_prints_nothing(capsys, easy_csv, tmp_path):
