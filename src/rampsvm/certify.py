@@ -9,29 +9,21 @@ g = B^T lambda + (w; 0):
     r_feas = ||u + B z - 1||_inf             primal feasibility
     r_prox = max_i dist(u_i, prox(u_i - gamma*lambda_i))   fixed-point inclusion
 
-One routine computes them (residual_rows), for candidates stacked one per
-row: the trainer's screen calls it on its block of iterates, and
-check_pstationary, check_kkt, certify_point and recover_multiplier on one
-row, so a residual is the same float on every path.
-
 The weaker KKT condition replaces the prox inclusion with a subdifferential
 inclusion: -lambda_i/C must lie in the ramp subdifferential at u_i.  Every
 P-stationary point is a KKT point; the converse fails, and the shipped
 three-point counterexample fixture demonstrates it.
 
-The steps gamma that can satisfy the inclusion follow from the prox closed
-form, one margin class at a time (admissible_steps): Gamma = (0, gamma_max],
-empty exactly when a sample sits on the upper kink u = 1.  certify_point
-derives the one verdict every caller reports: KKT holds, Gamma is nonempty,
-and the residuals pass at one step gamma* in Gamma.
+What each function decides:
 
-A primal point (w, b) is graded by one route (grade): u from the
-feasibility constraint, lambda as given or else from region-structured
-recovery (recover_multiplier), and certify_point's verdict on that point.
-Recovery lets the margins fix lambda_i off the margin hyperplanes, and
-least squares solves only for the on-margin components.  check_kkt,
-recover_multiplier and admissible_steps share one margin classifier, and
-every verdict and recovery is decided at the one tolerance DEFAULT_TOL.
+* residual_rows: the four residuals of candidates stacked one per row, the
+  same floats on every path;
+* check_pstationary: whether they pass tol at one step gamma;
+* check_kkt: whether the KKT system holds;
+* admissible_steps: the steps gamma at which the prox inclusion can hold;
+* certify_point: the one verdict every caller reports;
+* recover_multiplier: a multiplier for a primal point (w, b);
+* grade and grade_point: the verdict of a primal point.
 """
 
 from __future__ import annotations
@@ -349,9 +341,8 @@ def certify_point(
     computed once: the certificate and the KKT check share r_grad, r_y and
     r_feas.
     """
-    check_positive("C", C)
-    _check_dims(point, problem)
     gamma_max = admissible_steps(point, C)
+    _check_dims(point, problem)
     gamma = gamma_max / 2.0 if 0.0 < gamma_max < 2.0 / C else 2.0 / C
     r = _point_residuals(
         problem, point.w, point.b, point.u, point.lam, ProxParams(gamma, C)

@@ -50,7 +50,7 @@ from .datasets import (
 from .losses import objective
 from .problem import ProblemData, build_problem
 from .prox import ProxParams, prox_distance, prox_scalar
-from .solver import SolveResult, SolveStatus, SolverConfig, train_admm
+from .solver import SolveStatus, SolverConfig, train_admm
 from .support import extract_support, verify_support_margins
 
 __all__ = ["main", "build_parser"]
@@ -59,10 +59,6 @@ COUNTEREXAMPLE_GAMMAS = (0.4, 4.0, 8.0, 16.0)
 
 
 # --- serialization helpers --------------------------------------------------
-
-
-def _floats(arr) -> list[float]:
-    return np.asarray(arr, dtype=float).ravel().tolist()
 
 
 def _dumps(obj, level: int = 0) -> str:
@@ -102,21 +98,10 @@ def _cert_dict(cert: Certificate) -> dict:
 
 def _point_dict(point: PrimalDualPoint) -> dict:
     return {
-        "w": _floats(point.w),
+        "w": point.w.tolist(),
         "b": point.b,
-        "u": _floats(point.u),
-        "lambda": _floats(point.lam),
-    }
-
-
-def _result_dict(res: SolveResult) -> dict:
-    return {
-        "status": res.status.value,
-        "iterations": res.iterations,
-        "objective": res.objective,
-        "point": _point_dict(res.point),
-        "certificate": _cert_dict(res.certificate),
-        "diagnostics": res.diagnostics,
+        "u": point.u.tolist(),
+        "lambda": point.lam.tolist(),
     }
 
 
@@ -184,7 +169,14 @@ def cmd_train(args) -> int:
     report = {
         "problem": _problem_dict(problem),
         "params": {**params, "gamma": config.gamma},
-        "result": _result_dict(res),
+        "result": {
+            "status": res.status.value,
+            "iterations": res.iterations,
+            "objective": res.objective,
+            "point": _point_dict(res.point),
+            "certificate": _cert_dict(res.certificate),
+            "diagnostics": res.diagnostics,
+        },
     }
     _emit(args, _digest(args.data, **params), report, out=args.out)
     if res.status is SolveStatus.DIVERGED:
@@ -207,9 +199,7 @@ def _grading_report(graded, problem, C, gammas) -> dict:
         row = asdict(check_pstationary(point, problem, C, gamma))
         del row["verdict"]
         s = point.u - gamma * point.lam
-        row["prox_distances"] = _floats(
-            prox_distance(point.u, s, ProxParams(gamma, C))
-        )
+        row["prox_distances"] = prox_distance(point.u, s, ProxParams(gamma, C)).tolist()
         rows.append(row)
     return {
         "problem": _problem_dict(problem),
@@ -288,8 +278,8 @@ def cmd_support_vectors(args) -> int:
             "certificate": _cert_dict(res.certificate),
             "support": {
                 "indices": list(support.indices),
-                "lambdas": _floats(support.lambdas),
-                "margins": _floats(support.margins),
+                "lambdas": support.lambdas.tolist(),
+                "margins": support.margins.tolist(),
             },
             "margin_check": margin_check,
             "margin_check_skipped": skipped,
@@ -352,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train on a dataset and certify the result")
     p.add_argument("--data", required=True, help="dataset file")
-    p.add_argument("--format", choices=["csv", "libsvm"], default="csv")
+    p.add_argument("--format", choices=[f.value for f in DataFormat], default="csv")
     p.add_argument("--C", type=float, required=True, help="loss penalty")
     p.add_argument(
         "--sigma",

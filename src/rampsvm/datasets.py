@@ -30,6 +30,7 @@ test suite and the ``counterexample`` CLI command.
 from __future__ import annotations
 
 import math
+import numbers
 from enum import Enum
 from pathlib import Path
 
@@ -207,7 +208,9 @@ def gen_synthetic(
     positives first, with ceil(outlier_fraction * m) points relocated far
     onto the wrong side (10x the separation) while keeping their labels.
 
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  A non-finite separation, one whose
+    outlier offset 10 * separation overflows when outliers are placed, and
+    a negative integer seed are rejected with ValueError.
     """
     if n_per_class < 1:
         raise ValueError("n_per_class must be at least 1")
@@ -215,14 +218,24 @@ def gen_synthetic(
         raise ValueError(
             f"outlier_fraction must be in [0, 1], got {outlier_fraction}"
         )
-    rng = np.random.default_rng(seed)
+    if not math.isfinite(separation):
+        raise ValueError(f"separation must be finite, got {separation}")
     m = 2 * n_per_class
+    k = math.ceil(outlier_fraction * m)
+    # A Python float: a numpy scalar would warn as the product overflows.
+    if k and not math.isfinite(10.0 * float(separation)):
+        raise ValueError(
+            f"separation must keep the outlier offset 10 * separation "
+            f"finite, got {separation}"
+        )
+    if isinstance(seed, numbers.Integral) and seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    rng = np.random.default_rng(seed)
     half = separation / 2.0
     X = rng.standard_normal((m, 2))
     X[:n_per_class, 0] += half
     X[n_per_class:, 0] -= half
     y = np.concatenate((np.ones(n_per_class), -np.ones(n_per_class)))
-    k = math.ceil(outlier_fraction * m)
     if k:
         chosen = rng.choice(m, size=k, replace=False)
         X[chosen] = rng.standard_normal((k, 2))

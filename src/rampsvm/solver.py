@@ -12,18 +12,9 @@ cycles three exact updates with a constant penalty sigma:
 train_admm's docstring gives its outcomes and the reasons behind its block
 screen, cycle stop, finiteness test and operands.
 
-The global oracle is exact over a (w, b) box for n <= 2: it enumerates the
-O(C(2m + 2d, d)) vertices of the arrangement of kink planes and box facets,
-d = n + 1, and generates each edge and 2-D face once, at its lowest vertex
-(the lowest-vertex rule of reverse search, Avis and Fukuda 1996), by one
-rule at every vertex: each line through it gives its up edge, and each
-active plane the face between the up edges of every two of its lines.
-Each face is solved there, as it is generated, in closed form: cross
-products for the vertices and line directions, Cramer's rule for the
-faces.  Where planes coincide, a line is a zero or parallel row, and a
-face with such dependent directions is skipped.  The oracle exists as an
-independent reference for testing stationarity claims at true minimizers,
-not as a practical trainer.
+global_oracle is an exact minimizer over a (w, b) box for n <= 2, a
+reference for testing stationarity claims at true minimizers, not a
+practical trainer; its docstring gives the derivation.
 """
 
 from __future__ import annotations
@@ -143,11 +134,13 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
 
     * Block screen.  The iterations run one at a time in blocks of up to
       64, each keeping its iterate in a row of the block's arrays.  The
-      screen then rules out the rows whose r_feas already fails tol and the
-      best iterate as it stood at the block's start (the best only improves
+      screen then rules out the rows whose r_feas does not beat the best
+      iterate as it stood at the block's start (the best only improves
       during a block), takes the residuals of the rest from residual_rows,
       the floats check_pstationary gives for them, and applies the rules
-      above to the rows in iteration order.
+      above to the rows in iteration order.  The run returns at the first
+      row within tol, so the best so far is above tol whenever a block is
+      screened, and no row that could pass tol is ruled out.
     * Cycle stop.  The state (B z, lambda) fixes every later iteration, so
       a run whose state repeats byte for byte only replays iterates it has
       screened: none can converge, and under the strict < none replaces the
@@ -267,10 +260,10 @@ def train_admm(problem: ProblemData, config: SolverConfig) -> SolveResult:
             it = start + k + 1
             stop = f"non-finite iterate at iteration {it}"
         # Screen phase: the residuals of the block's k rows, only for the
-        # rows whose r_feas can still pass tol or beat the best iterate as
-        # it stood at the block's start.
+        # rows whose r_feas beats the best iterate as it stood at the
+        # block's start; best_worst > tol here (see "Block screen").
         r_feas = np.abs(F[:k]).max(axis=1)
-        keep = np.flatnonzero((r_feas <= tol) | (r_feas < best_worst))
+        keep = np.flatnonzero(r_feas < best_worst)
         if keep.size:
             R = residual_rows(problem, Z[keep], U[keep], L[keep], F[keep], params)
             # The per-iteration rules, in iteration order.
@@ -344,20 +337,16 @@ def _up(t):
 
 
 def _faces(NP):
-    """Faces through vertices v whose active planes have the unit normals NP.
+    """The up faces at vertices v whose active planes have the unit
+    normals NP, one row of NP per vertex.
 
     Yields direction rows U per vertex and face, and their products with
-    NP, those below _SINGULAR |U row| taken to be 0; the face's flat is
-    v + U^T alpha, and an active plane is crossed on the side of the first
-    row not in it.  Only faces that go up from v are yielded, so that each
-    bounded edge and 2-D face comes once, from its lowest vertex in the
-    order that _up orients.  Each line where d - 1 active planes meet gives
-    its up edge, U = (t).  For d = 3, at every vertex, each active plane p
-    gives the face between the up edges of every two of its lines {p, q}
-    and {p, q'}, U = (t, t'): a 2-D face lies between two up edges in its
-    plane at its lowest vertex.  Where planes coincide, a line is a zero
-    row or parallel to another, so U's rows are dependent; the caller
-    skips such faces.
+    NP, those below _SINGULAR |U row| taken to be 0: first every line's up
+    edge, U = (t), then for d = 3 every active plane's faces between the up
+    edges of two of its lines, U = (t, t').  The face's flat is
+    v + U^T alpha, and it crosses an active plane on the side of the first
+    row of U not in it.  Faces whose rows are dependent are yielded too;
+    the caller skips them.
     """
     k, d = NP.shape[1:]
     lines = np.array(list(combinations(range(k), d - 1)), dtype=int)
@@ -372,18 +361,13 @@ def _faces(NP):
 
 
 def _candidates(T, N, r, box, C, B) -> np.ndarray:
-    """Candidate minimizers from the vertices that the d-subsets T cut out.
+    """Candidate minimizers from the vertices that the d-subsets T of the
+    planes N z = r cut out.
 
-    Every in-box vertex is one, and so is the minimizer of 1/2 |w|^2 + g^T z
-    on the flat of every face that _faces yields at it, with g = -C sum B_i
-    over the samples inside the band on that face; these get clipped into
-    the box.  Each face is solved right where it is yielded, at its lowest
-    vertex, so every edge and 2-D face in the box comes from there; a vertex
-    where more than d planes meet may yield one twice.  Faces whose
-    directions are dependent (a zero or parallel row, where planes
-    coincide) are skipped: they span an edge that the same vertex yields
-    as one.  So are flats free along b: their minimum is also on a lower
-    face.
+    Returns every in-box vertex and, for every face that _faces yields at
+    one, the minimizer of the face's quadratic on its flat, clipped into
+    the box.  Skips faces whose directions are dependent and flats free
+    along b.
     """
     m, d = B.shape
     det, x = _cramer(N[T], r[T])
@@ -435,20 +419,35 @@ def global_oracle(
 ) -> tuple[np.ndarray, float, float]:
     """Exact global minimum of the objective over a (w, b) box, n <= 2 only.
 
-    In z = (w, b), d = n + 1, the objective is smooth on each cell of the
-    arrangement of the 2m kink planes B_i z = 1 and B_i z = 0.  With the 2d
-    box facets added as planes, every face in the box has a vertex, where d
-    planes with independent normals meet.  A minimizer minimizes its face's
-    quadratic over the face's flat, or lies on a lower face as well.  So
-    the oracle visits the O(C(2m + 2d, d)) vertices.  Every line through
-    a vertex has one up side, fixed by its direction alone, so each bounded
-    edge and 2-D face is generated once, at the vertex from which all of
-    it goes up: its lowest.  The face's quadratic is minimized there, over
-    the face's flat, in closed form; a face whose directions are dependent
-    (where planes coincide) is skipped.  Ties go to the first best
-    candidate in a fixed order, so repeated calls agree bit for bit.
     bounds holds one (lo, hi) pair per coordinate of (w, b).  Returns
-    (w, b, value) with value = objective(w, b).
+    (w, b, value) with value = objective(w, b).  Raises ValueError for
+    n > 2, a C that is not finite and positive, and bounds that are not d
+    finite pairs with lo < hi.
+
+    In z = (w, b), d = n + 1, the objective is smooth on each cell of the
+    arrangement of the 2m kink planes B_i z = 1 and B_i z = 0; on a face it
+    is 1/2 |w|^2 + g^T z plus a constant, with g = -C sum B_i over the
+    samples inside the band.  With the 2d box facets added as planes,
+    every face in the box has a vertex, and a minimizer minimizes its
+    face's quadratic over the face's flat or lies on a lower face too.  So
+    the oracle visits the O(C(2m + 2d, d)) vertices, each in-box one a
+    candidate, and generates each bounded edge and 2-D face once, at its
+    lowest vertex: the lowest-vertex rule of reverse search (Avis and
+    Fukuda 1996), with the up side of a line fixed by its direction alone.
+    One rule holds at every vertex, however many planes meet there: each
+    line where d - 1 active planes meet gives its up edge, and for d = 3
+    each active plane gives the face between the up edges of every two of
+    its lines, as a 2-D face lies between two up edges in its plane at its
+    lowest vertex.
+
+    Each face is solved where it is generated, in closed form (cross
+    products for the vertices and line directions, Cramer's rule for the
+    minimizer on the flat), and clipped into the box.  Where planes
+    coincide, a line is a zero or parallel row; a face with such dependent
+    directions is skipped, as the same vertex generates its edge as one,
+    and so is a flat free along b, whose minimum is on a lower face too.
+    Ties go to the first best candidate in a fixed order, so repeated
+    calls agree bit for bit.
     """
     n = problem.n
     if n > 2:

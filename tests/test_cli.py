@@ -621,6 +621,24 @@ def test_gen_data_digest_and_determinism(capsys, tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+@pytest.mark.parametrize("sep", ["nan", "1e308"])
+def test_gen_data_rejects_bad_separation(capsys, tmp_path, sep):
+    # The error names separation: nan must not surface as the dataset's
+    # "features must be finite", nor 1e308, whose outlier offset overflows,
+    # as numpy's overflow RuntimeWarning (an error under pytest).
+    out_path = tmp_path / "z.csv"
+    capsys.readouterr()
+    code = main(
+        ["gen-data", "--n", "2", "--sep", sep, "--outliers", "0.5",
+         "--seed", "0", "--out", str(out_path)]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "separation" in captured.err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize(
     "obj",
     [

@@ -300,3 +300,14 @@ def test_gen_synthetic_validation():
         gen_synthetic(n_per_class=0, separation=1.0, outlier_fraction=0.0, seed=0)
     with pytest.raises(ValueError):
         gen_synthetic(n_per_class=3, separation=1.0, outlier_fraction=1.5, seed=0)
+    # separation and seed are checked before any sample is drawn, with a
+    # message that names them.  A separation whose outlier offset
+    # 10 * separation overflows is refused only when outliers are placed.
+    for sep in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="separation"):
+            gen_synthetic(n_per_class=2, separation=sep, outlier_fraction=0.0, seed=0)
+    with pytest.raises(ValueError, match="separation"):
+        gen_synthetic(n_per_class=2, separation=1e308, outlier_fraction=0.5, seed=0)
+    assert gen_synthetic(2, 1e308, 0.0, 0).m == 4
+    with pytest.raises(ValueError, match="seed"):
+        gen_synthetic(n_per_class=2, separation=1.0, outlier_fraction=0.0, seed=-1)
