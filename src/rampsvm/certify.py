@@ -23,7 +23,7 @@ What each function decides:
 * admissible_steps: the steps gamma at which the prox inclusion can hold;
 * certify_point: the one verdict every caller reports;
 * recover_multiplier: a multiplier for a primal point (w, b);
-* grade and grade_point: the verdict of a primal point.
+* grade: the verdict of a primal point.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ __all__ = [
     "recover_multiplier",
     "admissible_steps",
     "grade",
-    "grade_point",
 ]
 
 DEFAULT_TOL = 1e-6
@@ -243,7 +242,7 @@ def _kkt_check(point: PrimalDualPoint, C, tol, r_grad, r_y, r_feas) -> KKTCheck:
 
 def _margins(w, b, problem: ProblemData):
     """(w, b) as floats, once they check out, and the margins
-    u = 1 - A w - b y; a non-finite w or b would carry into u."""
+    u = 1 - A w - b y, refused where u or ||w||^2 would not be finite."""
     w = np.asarray(w, dtype=float)
     b = float(b)
     if w.shape != (problem.n,):
@@ -252,7 +251,12 @@ def _margins(w, b, problem: ProblemData):
         raise ValueError("w must be finite")
     if not math.isfinite(b):
         raise ValueError("b must be finite")
-    return w, b, 1.0 - problem.A @ w - b * problem.y
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = 1.0 - problem.A @ w - b * problem.y
+        finite = np.isfinite(u).all() and math.isfinite(w @ w)
+    if not finite:
+        raise ValueError("w and b must give finite margins and ||w||^2")
+    return w, b, u
 
 
 def recover_multiplier(
@@ -277,8 +281,8 @@ def recover_multiplier(
     Returns (lambda, residual) with the infinity-norm residual of
     B^T lambda + (w; 0), max(r_grad, r_y) of residual_rows; a large
     residual means no multiplier with this structure makes w stationary.
-    A non-finite w or b is rejected, as no residual of it would mean
-    anything.
+    A w or b that is not finite, or whose margins or ||w||^2 overflow, is
+    rejected, as no residual of it would mean anything.
     """
     check_positive("C", C)
     w, b, u = _margins(w, b, problem)
@@ -320,8 +324,9 @@ def admissible_steps(point: PrimalDualPoint, C: float) -> float:
     cls = _classify(u, DEFAULT_TOL)
     with np.errstate(divide="ignore", over="ignore"):
         kink = 2.0 * C / (lam * lam)
+        band = 2.0 * (1.0 - u) / C
         beyond = np.where(u < 2.0, 2.0 * (u - 1.0) / C, u * u / (2.0 * C))
-    bound = np.choose(cls, (np.inf, kink, 2.0 * (1.0 - u) / C, 0.0, beyond))
+    bound = np.choose(cls, (np.inf, kink, band, 0.0, beyond))
     return float(bound.min(initial=np.inf))
 
 
@@ -361,24 +366,14 @@ def grade(
     w, b, problem: ProblemData, C: float, lam=None
 ) -> tuple[Certificate, KKTCheck, float, PrimalDualPoint]:
     """The one route from a primal point to a verdict: certify_point on
-    (w, b, u, lambda), decided at DEFAULT_TOL.
-
-    u comes from the feasibility constraint, and lambda is the given one,
-    graded as it stands, or else recover_multiplier's.  Returns
-    certify_point's triple and the point it certified.
+    (w, b, u, lambda) at DEFAULT_TOL, with u from the feasibility constraint
+    and lambda as given, or else recover_multiplier's; returns certify_point's
+    triple and the point.  The admissible steps are exact, so a KKT point
+    that fails is not failed by the choice of a step: no step is admissible,
+    or the residuals miss DEFAULT_TOL at gamma*, inside the admissible set.
     """
     w, b, u = _margins(w, b, problem)
     if lam is None:
         lam, _ = recover_multiplier(w, b, problem, C)
     point = PrimalDualPoint(w=w, b=b, u=u, lam=lam)
     return (*certify_point(point, problem, C), point)
-
-
-def grade_point(w, b: float, problem: ProblemData, C: float) -> Certificate:
-    """grade's certificate for (w, b) with the recovered multiplier.
-
-    The admissible steps are known exactly, so a KKT point that fails is
-    not failed by the choice of a step: either no step is admissible, or
-    the residuals miss DEFAULT_TOL at gamma*, inside the admissible set.
-    """
-    return grade(w, b, problem, C)[0]

@@ -39,7 +39,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProxParams:
-    """Prox step gamma and loss penalty C, both strictly positive.
+    """Step gamma and penalty C, both positive, with a finite tie threshold.
 
     gammaC, the product gamma*C that selects the prox regime, and the tie
     threshold, the input s at which the prox has two members, are worked
@@ -64,6 +64,8 @@ class ProxParams:
         check_positive("C", self.C)
         gc = self.gamma * self.C
         thr = 1.0 + gc / 2.0 if gc < 2.0 else math.sqrt(2.0 * gc)
+        if not math.isfinite(thr):
+            raise ValueError(f"gamma*C = {gc} overflows the tie threshold")
         object.__setattr__(self, "gammaC", gc)
         object.__setattr__(self, "_threshold", thr)
         for name, value in (("_gammaC0", gc), ("_threshold0", thr), ("_zero0", 0.0)):

@@ -98,7 +98,5 @@ def verify_support_margins(
             f"margin geometry requires gamma*C >= 2, got {gamma * C}"
         )
     sv = extract_support(point, problem, sv_tol)
-    if len(sv) == 0:
-        return True, 0.0
-    deviation = float(np.max(np.abs(np.take(point.u, sv.indices))))
+    deviation = float(np.max(np.abs(np.take(point.u, sv.indices)), initial=0.0))
     return deviation <= 10.0 * DEFAULT_TOL, deviation

@@ -6,7 +6,7 @@ recorded in _CERTIFIED, and every solver run in _solver_batch() feeds the
 local-minimum probe, the margin-geometry check, and the implication audit.
 test_criterion_09 therefore runs last (definition order), after the
 registry is fully populated.  The batch's converged runs also feed the
-cross-path check that grade_point and `rampsvm certify` agree with the
+cross-path check that grade and `rampsvm certify` agree with the
 trainer's verdict; a second check retrains the batch at the default tol
 and four penalties and pins where the grading routes and the trainer
 differ.
@@ -36,7 +36,7 @@ from rampsvm import (
     extract_support,
     gen_synthetic,
     global_oracle,
-    grade_point,
+    grade,
     objective,
     prox_scalar,
     recover_multiplier,
@@ -201,7 +201,7 @@ def test_criterion_05_necessity_at_global_minimizers():
             f"instance {k}: residual {cert.max_residual:.3e} at gamma {gamma:.4f}"
         )
         # The one verdict rule, at its own step and tol, agrees.
-        graded = grade_point(w, b, prob, C)
+        graded = grade(w, b, prob, C)[0]
         assert graded.verdict is Verdict.P_STATIONARY, f"instance {k}: {graded}"
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"took {elapsed:.1f}s, budget 60s"
@@ -266,7 +266,7 @@ def test_criterion_07_margin_geometry():
 def test_certified_runs_grade_pstationary_on_every_path(capsys, tmp_path):
     # A verdict must not depend on the path that recovers the multiplier:
     # every (w, b) the trainer certifies must also grade p-stationary from
-    # (w, b) alone, through grade_point and through `rampsvm certify` on the
+    # (w, b) alone, through grade and through `rampsvm certify` on the
     # run's CSV.
     C = 1.0
     checked = 0
@@ -274,9 +274,9 @@ def test_certified_runs_grade_pstationary_on_every_path(capsys, tmp_path):
         if res.status is not SolveStatus.CONVERGED:
             continue
         w, b = res.point.w, res.point.b
-        cert = grade_point(w, b, prob, C)
+        cert = grade(w, b, prob, C)[0]
         assert cert.verdict is Verdict.P_STATIONARY, (
-            f"seed {seed}: grade_point says {cert.verdict.value}, "
+            f"seed {seed}: grade says {cert.verdict.value}, "
             f"worst residual {cert.max_residual:.3e}"
         )
         path = tmp_path / f"batch-{seed}.csv"
@@ -296,12 +296,12 @@ def test_certified_runs_grade_pstationary_on_every_path(capsys, tmp_path):
         assert code == 0, f"seed {seed}: rampsvm certify says {verdict}"
         checked += 1
     assert checked >= 8, f"only {checked}/20 runs converged"
-    print(f"cross-path PASS: {checked}/{checked} certified runs grade p-stationary through grade_point and rampsvm certify")
+    print(f"cross-path PASS: {checked}/{checked} certified runs grade p-stationary through grade and rampsvm certify")
 
 
 # At the trainer's default tol, the batch runs that the trainer certifies
 # but a grading route does not, per sigma (C = 1): from (w, b) alone
-# (grade_point and `rampsvm certify`), and with the trainer's lambda
+# (grade and `rampsvm certify`), and with the trainer's lambda
 # (`rampsvm certify --lambda`).  The trainer checks the residuals only, at
 # gamma = 1/sigma, where a band lambda may miss -C by tol * sigma.
 # Grading also checks KKT in lambda units, and r_prox at gamma* = 2/C,
@@ -317,7 +317,7 @@ _DEFAULT_TOL_MISSES = {
 
 def test_default_tol_verdicts_pinned(capsys, tmp_path):
     # The batch at the default tol and sigma in {C/10, C/2, C, 5C},
-    # converged or not.  grade_point and `rampsvm certify` are one route
+    # converged or not.  grade and `rampsvm certify` are one route
     # and give the same verdict; `certify --lambda` grades the trainer's
     # lambda as it stands.  Where they differ from the trainer is pinned.
     # Every returned certificate is check_pstationary's for the returned
@@ -349,7 +349,7 @@ def test_default_tol_verdicts_pinned(capsys, tmp_path):
                 capsys.readouterr()
                 assert main(argv) == 0
                 reports.append(json.loads(capsys.readouterr().out)["result"])
-            graded = grade_point(w, b, prob, C).verdict.value
+            graded = grade(w, b, prob, C)[0].verdict.value
             assert reports[0]["verdict"] == graded, (sigma, seed)
             trained = res.certificate.verdict is Verdict.P_STATIONARY
             for miss, verdict in zip(misses, (graded, reports[1]["verdict"])):

@@ -25,7 +25,6 @@ from rampsvm import (
     gen_synthetic,
     global_oracle,
     grade,
-    grade_point,
     prox_scalar,
     recover_multiplier,
     single_point_dataset,
@@ -76,7 +75,7 @@ def test_counterexample_grade_is_kkt_only():
     cert, kkt, gamma_max = certify_point(point, prob, C)
     assert kkt.passed and gamma_max == 0.0
     assert cert.verdict is Verdict.KKT_ONLY
-    cert = grade_point(point.w, point.b, prob, C)
+    cert = grade(point.w, point.b, prob, C)[0]
     assert cert.verdict is Verdict.KKT_ONLY
     assert isinstance(cert, Certificate)
 
@@ -84,14 +83,14 @@ def test_counterexample_grade_is_kkt_only():
 def test_grade_point_pstationary_on_pair():
     prob = build_problem(symmetric_pair_dataset())
     point = symmetric_pair_point()
-    cert = grade_point(point.w, point.b, prob, C=1.0)
+    cert = grade(point.w, point.b, prob, C=1.0)[0]
     assert cert.verdict is Verdict.P_STATIONARY
     assert cert.max_residual <= 1e-9
 
 
 def test_grade_point_neither_on_garbage():
     prob = build_problem(counterexample_dataset())
-    cert = grade_point(np.array([5.0, -3.0]), 2.0, prob, COUNTEREXAMPLE_C)
+    cert = grade(np.array([5.0, -3.0]), 2.0, prob, COUNTEREXAMPLE_C)[0]
     assert cert.verdict is Verdict.NEITHER
     assert cert.max_residual > 1e-3
 
@@ -109,7 +108,7 @@ def test_grade_point_not_stationary_off_the_minimizer():
     for prob, w, b, margin in cases:
         u = 1.0 - prob.A @ [w] - b * prob.y
         assert np.allclose(u, margin, rtol=0.0, atol=1e-12)
-        cert = grade_point(np.array([w]), b, prob, C=1.0)
+        cert = grade(np.array([w]), b, prob, C=1.0)[0]
         assert cert.verdict is not Verdict.P_STATIONARY, (w, b)
         assert cert.max_residual > 1e-4
 
@@ -132,18 +131,18 @@ def test_grade_point_frees_only_on_margin_multipliers():
     u = 1.0 - prob.A @ w - b * prob.y
     assert np.count_nonzero(np.abs(u) <= 1e-6) == 3
     assert np.count_nonzero((u < -1e-4) & (u > -2e-3)) == 3
-    cert = grade_point(w, b, prob, C=1.0)
+    cert = grade(w, b, prob, C=1.0)[0]
     assert cert.verdict is Verdict.P_STATIONARY
     assert max(cert.r_grad, cert.r_y) <= 1e-12
 
 
 def test_grade_uses_the_given_multiplier():
-    # grade is grade_point's route; a given lambda is graded as it stands,
+    # grade is the one route; a given lambda is graded as it stands,
     # and the certified point carries it.
     prob = build_problem(symmetric_pair_dataset())
     point = symmetric_pair_point()
     cert, kkt, gamma_max, graded = grade(point.w, point.b, prob, 1.0)
-    assert cert == grade_point(point.w, point.b, prob, 1.0)
+    assert cert == grade(point.w, point.b, prob, 1.0)[0]
     assert np.array_equal(graded.u, point.u)
     for lam, verdict in (
         (point.lam, Verdict.P_STATIONARY),
@@ -391,7 +390,17 @@ def test_recovery_rejects_non_finite_point(bad):
         with pytest.raises(ValueError, match="w must be finite"):
             recover_multiplier(w, point.b, prob, 1.0)
         with pytest.raises(ValueError, match="w must be finite"):
-            grade_point(w, point.b, prob, 1.0)
+            grade(w, point.b, prob, 1.0)
+
+
+@pytest.mark.parametrize("w", [(1e160, 0.0), (1e308, 1e308)])
+def test_grading_rejects_overflowing_point(w):
+    # ||w||^2 (1e160) or the margins A w (1e308) overflow, so the point has
+    # no finite residual or objective.
+    prob = build_problem(gen_synthetic(6, 4.0, 0.0, 0))
+    for route in (grade, recover_multiplier):
+        with pytest.raises(ValueError, match="w and b must give finite"):
+            route(np.array(w), 0.0, prob, 1.0)
 
 
 def test_certificate_residuals_nonnegative():
@@ -537,7 +546,7 @@ def test_criterion_8_minimizers_grade_pstationary():
         for ds in (clean, augmented):
             prob = build_problem(ds)
             w, b, _ = global_oracle(prob, C, bounds=bounds)
-            cert = grade_point(w, b, prob, C)
+            cert = grade(w, b, prob, C)[0]
             assert cert.verdict is Verdict.P_STATIONARY, (seed, cert)
             assert cert.max_residual <= 1e-12
             if seed == 100:

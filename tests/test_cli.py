@@ -34,13 +34,19 @@ GEN_DATA_ARGS = (
 )
 
 
+def _reject_constant(name):
+    raise AssertionError(f"report holds {name}, which is not strict JSON")
+
+
 def run_cli(capsys, *argv):
     capsys.readouterr()  # drop output buffered by fixtures
     code = main(list(argv))
     out = capsys.readouterr().out
     if out:
-        # Every report is the text json.dumps would write for it.
-        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        # Every report is strict JSON, with no NaN or Infinity, and the text
+        # json.dumps would write for it.
+        report = json.loads(out, parse_constant=_reject_constant)
+        assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
     return code, out
 
 
@@ -318,8 +324,14 @@ def test_certify_dimension_error(capsys, counterexample_csv):
         ("0,0", ["--lambda=0,nan,0"], "error: lam must be finite"),
         ("1,x", [], "rampsvm certify: error: argument --w: bad float list '1,x'"),
         (",", [], "rampsvm certify: error: argument --w: empty list"),
+        # ||w||^2 (1e160) or the margins A w (1e308) overflow.
+        ("1e160,0", [], "error: w and b must give finite margins and ||w||^2"),
+        ("1e308,1e308", [], "error: w and b must give finite margins and ||w||^2"),
     ],
-    ids=["lambda-count", "lambda-nan", "w-bad-float", "w-empty"],
+    ids=[
+        "lambda-count", "lambda-nan", "w-bad-float", "w-empty",
+        "w-norm-overflow", "margin-overflow",
+    ],
 )
 def test_certify_input_errors(capsys, counterexample_csv, w, extra, message):
     # Exit 2 with nothing on stdout and one error line on stderr; argparse
@@ -395,6 +407,25 @@ def test_certify_rejects_non_finite_point(
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {name} must be finite\n"
+
+
+@pytest.mark.parametrize(
+    "w, b, C, gamma_max",
+    [
+        ("0,0", "1e308", "1", None),
+        ("0.4,0.3", "-0.2", "1e-308", 1.2224107127322537e307),
+    ],
+    ids=["b-1e308", "C-1e-308"],
+)
+def test_certify_band_bound_may_overflow(capsys, easy_csv, w, b, C, gamma_max):
+    # Margins of 1e308, or C = 1e-308, overflow the band's step bound
+    # 2(1 - u)/C to inf, which enters only the minimum over samples.
+    code, out = run_cli(
+        capsys,
+        "certify", "--data", str(easy_csv), "--w=" + w, "--b=" + b, "--C", C,
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["gamma_max"] == gamma_max
 
 
 def test_certify_recovers_every_margin_at_zero(capsys, tmp_path):
@@ -533,6 +564,17 @@ def test_prox_eval_matches_library(capsys):
             expected = prox_scalar(s_i, ProxParams(gamma, 1.0))
             assert entry["values"] == list(expected.values)
             assert entry["tie"] is expected.tie
+
+
+def test_prox_eval_rejects_overflowing_threshold(capsys):
+    # gamma*C = inf has no finite tie threshold; its report would print
+    # "gammaC": Infinity, which is not JSON.
+    capsys.readouterr()
+    code = main(["prox-eval", "--s", "1", "--gamma", "1e200", "--C", "1e200"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "gamma*C" in captured.err
 
 
 def test_support_vectors_report(capsys, easy_csv):

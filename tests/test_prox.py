@@ -339,3 +339,10 @@ def test_prox_params_validation():
         ProxParams(gamma=1.0, C=-2.0)
     with pytest.raises(ValueError):
         prox_scalar(float("nan"), ProxParams(gamma=1.0, C=1.0))
+    # From gamma*C of about 9e307 on, sqrt(2*gamma*C) is inf, and the
+    # prox would zero every positive input.
+    for gamma, C in ((1e200, 1e200), (1e154, 1e154)):
+        with pytest.raises(ValueError, match=r"gamma\*C"):
+            ProxParams(gamma, C)
+    big = ProxParams(1e150, 1e150)
+    assert big._threshold == math.sqrt(2.0 * big.gammaC) < math.inf

@@ -24,7 +24,7 @@ from rampsvm import (
     global_oracle,
     objective,
     predict,
-    grade_point,
+    grade,
     prox_array,
     recover_multiplier,
     residual_rows,
@@ -343,7 +343,7 @@ def test_problem_without_features():
     prob = build_problem(Dataset(X=np.zeros((3, 0)), y=[1.0, -1.0, 1.0]))
     w, b, value = global_oracle(prob, 1.0, bounds=[(-5.0, 5.0)])
     assert w.shape == (0,) and value == 1.0
-    assert grade_point(w, b, prob, 1.0).verdict is Verdict.P_STATIONARY
+    assert grade(w, b, prob, 1.0)[0].verdict is Verdict.P_STATIONARY
     res = train_admm(prob, SolverConfig(C=1.0))
     assert res.status is SolveStatus.CONVERGED and res.iterations == 5
     assert res.certificate.r_grad == 0.0
